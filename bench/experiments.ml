@@ -174,50 +174,71 @@ let fig9 cfg = fig_udg cfg ~figure:9 ~side:17.
 let fig10 cfg = fig_udg cfg ~figure:10 ~side:20.
 
 (* ------------------------------------------------------------------ *)
-(* Figures 11-12: general-graph slot counts                            *)
+(* Figures 11-12 and 14-15: general-graph slots and DistMIS rounds     *)
 (* ------------------------------------------------------------------ *)
 
-let fig_general cfg ~figure ~n ~edge_counts =
+(* Figure 14 (15) plots the DistMIS rounds of exactly the runs behind
+   Figure 12's (11's) slot counts -- same graphs, seeds and general-graph
+   variant -- so one sweep records and prints both tables. *)
+let fig_general cfg ~figures:(slots_fig, rounds_fig) ~n ~edge_counts ~smoke_points =
+  let points =
+    List.map
+      (fun m ->
+        ( m,
+          measure_point cfg
+            ~labels:[ ("n", string_of_int n); ("edges", string_of_int m) ]
+            ~variant:Dist_mis.General
+            (fun rng -> Gen.gnm rng ~n ~m) ))
+      (take_smoke cfg smoke_points edge_counts)
+  in
   Report.section
     (Printf.sprintf
        "Figure %d: time slot assignment in general graphs, %d nodes (%d seeds; DistMIS = \
         general-graph variant of Section 6)"
-       figure n cfg.seeds);
-  let rows =
-    List.map
-      (fun m ->
-        let s =
-          measure_point cfg
-            ~labels:
-              [
-                ("figure", string_of_int figure);
-                ("n", string_of_int n);
-                ("edges", string_of_int m);
-              ]
-            ~variant:Dist_mis.General
-            (fun rng -> Gen.gnm rng ~n ~m)
-        in
-        [
-          string_of_int m;
-          Report.f1 s.avg_deg;
-          Report.f1 s.lb;
-          Report.f1 s.dist_mis;
-          Report.f1 s.dfs;
-          Report.f1 s.dmgc;
-          Report.f1 s.ub;
-        ])
-      (take_smoke cfg 2 edge_counts)
-  in
+       slots_fig n cfg.seeds);
   print_string
     (Report.table
        ~header:[ "edges"; "avg_deg"; "LB"; "distMIS"; "DFS"; "D-MGC"; "UB" ]
-       rows)
+       (List.map
+          (fun (m, s) ->
+            [
+              string_of_int m;
+              Report.f1 s.avg_deg;
+              Report.f1 s.lb;
+              Report.f1 s.dist_mis;
+              Report.f1 s.dfs;
+              Report.f1 s.dmgc;
+              Report.f1 s.ub;
+            ])
+          points));
+  Report.section
+    (Printf.sprintf
+       "Figure %d: DistMIS communication rounds in general graphs, %d nodes (%d seeds)"
+       rounds_fig n cfg.seeds);
+  print_string
+    (Report.table
+       ~header:[ "edges"; "avg_deg"; "rounds"; "messages"; "payload" ]
+       (List.map
+          (fun (m, s) ->
+            [
+              string_of_int m;
+              Report.f1 s.avg_deg;
+              Report.f1 s.rounds;
+              Report.f1 s.messages;
+              Report.f1 s.volume;
+            ])
+          points))
 
-let fig11 cfg = fig_general cfg ~figure:11 ~n:200 ~edge_counts:[ 300; 600; 1000; 1500; 2000 ]
-let fig12 cfg = fig_general cfg ~figure:12 ~n:500 ~edge_counts:[ 750; 1500; 2500; 4000; 6000 ]
+let fig11 cfg =
+  fig_general cfg ~figures:(11, 15) ~n:200 ~edge_counts:[ 300; 600; 1000; 1500; 2000 ]
+    ~smoke_points:2
+
+let fig12 cfg =
+  fig_general cfg ~figures:(12, 14) ~n:500 ~edge_counts:[ 750; 1500; 2500; 4000; 6000 ]
+    ~smoke_points:1
 
 (* ------------------------------------------------------------------ *)
-(* Figures 13-15: DistMIS communication rounds vs density              *)
+(* Figure 13: DistMIS communication rounds vs UDG density              *)
 (* ------------------------------------------------------------------ *)
 
 let fig13 cfg =
@@ -263,40 +284,6 @@ let fig13 cfg =
       print_newline ())
     (take_smoke cfg 1 [ 100; 200; 300 ])
 
-let fig_rounds_general cfg ~figure ~n ~edge_counts =
-  Report.section
-    (Printf.sprintf
-       "Figure %d: DistMIS communication rounds in general graphs, %d nodes (%d seeds)"
-       figure n cfg.seeds);
-  let rows =
-    List.map
-      (fun m ->
-        let s =
-          measure_point cfg
-            ~labels:
-              [
-                ("figure", string_of_int figure);
-                ("n", string_of_int n);
-                ("edges", string_of_int m);
-              ]
-            ~variant:Dist_mis.General
-            (fun rng -> Gen.gnm rng ~n ~m)
-        in
-        [
-          string_of_int m;
-          Report.f1 s.avg_deg;
-          Report.f1 s.rounds;
-          Report.f1 s.messages;
-          Report.f1 s.volume;
-        ])
-      (take_smoke cfg 2 edge_counts)
-  in
-  print_string
-    (Report.table ~header:[ "edges"; "avg_deg"; "rounds"; "messages"; "payload" ] rows)
-
-let fig14 cfg = fig_rounds_general cfg ~figure:14 ~n:500 ~edge_counts:[ 750; 1500; 2500; 4000; 6000 ]
-let fig15 cfg = fig_rounds_general cfg ~figure:15 ~n:200 ~edge_counts:[ 300; 600; 1000; 1500; 2000 ]
-
 (* ------------------------------------------------------------------ *)
 (* Fault sweep (robustness; beyond the paper's figures)                *)
 (* ------------------------------------------------------------------ *)
@@ -304,7 +291,7 @@ let fig15 cfg = fig_rounds_general cfg ~figure:15 ~n:200 ~edge_counts:[ 300; 600
 (* Reliable DistMIS and DFS under uniform message loss: the overhead
    columns chart what the ack/retransmit layer pays, relative to the
    lossless run of the same family/algorithm, to keep the schedules
-   valid.  Ends with a machine-readable JSON report of every point. *)
+   valid. *)
 let faults cfg =
   Report.section
     (Printf.sprintf
@@ -329,7 +316,6 @@ let faults cfg =
         let r = Dfs_sched.run ?faults ~metrics:m g in
         (r.Dfs_sched.schedule, r.Dfs_sched.stats)
   in
-  let json_points = Buffer.create 1024 in
   List.iter
     (fun (fam, make_graph) ->
       List.iter
@@ -375,15 +361,6 @@ let faults cfg =
                 Metrics.gauge mg "fdlsp_bench_valid" (if !all_valid then 1. else 0.);
                 Metrics.gauge mg "fdlsp_bench_round_overhead" round_x;
                 Metrics.gauge mg "fdlsp_bench_message_overhead" msg_x;
-                if Buffer.length json_points > 0 then Buffer.add_char json_points ',';
-                Buffer.add_string json_points
-                  (Printf.sprintf
-                     "{\"family\":%S,\"algo\":%S,\"loss\":%g,\"valid\":%b,\
-                      \"rounds\":%.1f,\"messages\":%.1f,\"dropped\":%.1f,\
-                      \"retransmits\":%.1f,\"round_overhead\":%.3f,\
-                      \"message_overhead\":%.3f}"
-                     fam algo_name loss !all_valid rounds messages dropped retransmits
-                     round_x msg_x);
                 [
                   Printf.sprintf "%.2f" loss;
                   string_of_bool !all_valid;
@@ -407,10 +384,7 @@ let faults cfg =
                rows);
           print_newline ())
         [ ("distmis", `Distmis); ("dfs", `Dfs) ])
-    families;
-  Printf.printf "JSON: {\"experiment\":\"faults\",\"seeds\":%d,\"points\":[%s]}\n"
-    cfg.seeds
-    (Buffer.contents json_points)
+    families
 
 (* ------------------------------------------------------------------ *)
 (* Per-phase breakdowns from event traces                              *)
@@ -451,7 +425,7 @@ let phases cfg =
     | `Dfs -> ignore (Dfs_sched.run ?faults ~trace ~metrics:m g));
     Fdlsp_sim.Trace.Summary.of_events (Fdlsp_sim.Trace.events trace)
   in
-  let json_points = Buffer.create 1024 in
+  let columns = [ "scale"; "rounds"; "sends"; "recvs"; "drops"; "dups"; "retransmits" ] in
   List.iter
     (fun (fam, make_graph) ->
       List.iter
@@ -496,43 +470,21 @@ let phases cfg =
                   (fun label ->
                     let cells, seen = Hashtbl.find acc label in
                     let mean i = !(cells.(i)) /. float_of_int !seen in
-                    if Buffer.length json_points > 0 then
-                      Buffer.add_char json_points ',';
-                    Buffer.add_string json_points
-                      (Printf.sprintf
-                         "{\"family\":%S,\"algo\":%S,\"loss\":%g,\"phase\":%S,\
-                          \"scale\":%.1f,\"rounds\":%.1f,\"sends\":%.1f,\
-                          \"recvs\":%.1f,\"drops\":%.1f,\"retransmits\":%.1f}"
-                         fam algo_name loss label (mean 0) (mean 1) (mean 2)
-                         (mean 3) (mean 4) (mean 6));
-                    [
-                      label;
-                      Report.f1 (mean 0);
-                      Report.f1 (mean 1);
-                      Report.f1 (mean 2);
-                      Report.f1 (mean 3);
-                      Report.f1 (mean 4);
-                      Report.f1 (mean 5);
-                      Report.f1 (mean 6);
-                    ])
+                    let mp =
+                      Metrics.with_label (Metrics.with_label m "algo" algo_name) "phase" label
+                    in
+                    List.iteri
+                      (fun i col -> Metrics.gauge mp ("fdlsp_bench_phase_" ^ col) (mean i))
+                      columns;
+                    label :: List.mapi (fun i _ -> Report.f1 (mean i)) columns)
                   (List.rev !order)
               in
               Printf.printf "%s / %s / %s:\n" fam algo_name setting;
-              print_string
-                (Report.table
-                   ~header:
-                     [
-                       "phase"; "scale"; "rounds"; "sends"; "recvs"; "drops";
-                       "dups"; "retransmits";
-                     ]
-                   rows);
+              print_string (Report.table ~header:("phase" :: columns) rows);
               print_newline ())
             settings)
         [ ("distmis", `Distmis); ("dfs", `Dfs) ])
-    families;
-  Printf.printf "JSON: {\"experiment\":\"phases\",\"seeds\":%d,\"points\":[%s]}\n"
-    cfg.seeds
-    (Buffer.contents json_points)
+    families
 
 (* ------------------------------------------------------------------ *)
 (* Ablations (beyond the paper's figures)                              *)
@@ -813,7 +765,6 @@ let stabilize cfg =
       ("gnp", fun rng -> Gen.gnp rng ~n:40 ~p:0.08);
     ]
   in
-  let json_points = Buffer.create 1024 in
   List.iter
     (fun (fam, make_graph) ->
       let rows =
@@ -853,13 +804,7 @@ let stabilize cfg =
             Metrics.gauge m "fdlsp_bench_converged" (if !all_converged then 1. else 0.);
             Metrics.gauge m "fdlsp_bench_stabilize_lag" lag;
             Metrics.gauge m "fdlsp_bench_slot_drift" drift;
-            if Buffer.length json_points > 0 then Buffer.add_char json_points ',';
-            Buffer.add_string json_points
-              (Printf.sprintf
-                 "{\"family\":%S,\"rate\":%g,\"converged\":%b,\"corruptions\":%.1f,\
-                  \"rounds_to_stabilize\":%.2f,\"recolorings\":%.1f,\
-                  \"recolored_arcs\":%.1f,\"slot_drift\":%.2f}"
-                 fam rate !all_converged corruptions lag recolorings locality drift);
+            Metrics.gauge m "fdlsp_bench_recolored_arcs" locality;
             [
               Printf.sprintf "%.2f" rate;
               string_of_bool !all_converged;
@@ -881,11 +826,7 @@ let stabilize cfg =
              ]
            rows);
       print_newline ())
-    families;
-  Printf.printf
-    "JSON: {\"experiment\":\"stabilize\",\"seeds\":%d,\"blip_horizon\":%d,\"points\":[%s]}\n"
-    cfg.seeds horizon
-    (Buffer.contents json_points)
+    families
 
 (* ------------------------------------------------------------------ *)
 (* Frame-runtime sweep                                                 *)
@@ -908,7 +849,6 @@ let frames cfg =
   let losses = if cfg.smoke then [ 0.; 0.3 ] else [ 0.; 0.1; 0.3 ] in
   let churns = [ 0; 2 ] in
   let n = 24 and horizon = 16 in
-  let json_points = Buffer.create 1024 in
   let rows =
     List.concat_map
       (fun drift ->
@@ -967,16 +907,8 @@ let frames cfg =
                 Metrics.gauge m "fdlsp_bench_frame_join_latency" latency;
                 Metrics.gauge m "fdlsp_bench_frame_resync" resyncs;
                 Metrics.gauge m "fdlsp_bench_frame_collisions" collisions;
-                if Buffer.length json_points > 0 then
-                  Buffer.add_char json_points ',';
-                Buffer.add_string json_points
-                  (Printf.sprintf
-                     "{\"drift\":%g,\"loss\":%g,\"churn\":%d,\
-                      \"sleep_fraction\":%.3f,\"join_latency\":%.1f,\
-                      \"desyncs\":%.1f,\"resyncs\":%.1f,\"collisions\":%.1f,\
-                      \"gave_up\":%.1f,\"synced_end\":%.1f}"
-                     drift loss churn sleep latency desyncs resyncs collisions
-                     gave_up synced);
+                Metrics.gauge m "fdlsp_bench_frame_gave_up" gave_up;
+                Metrics.gauge m "fdlsp_bench_frame_synced" synced;
                 [
                   Printf.sprintf "%g" drift;
                   Printf.sprintf "%g" loss;
@@ -1001,293 +933,4 @@ let frames cfg =
            "collisions"; "gave_up"; "synced";
          ]
        rows);
-  print_newline ();
-  Printf.printf
-    "JSON: {\"experiment\":\"frames\",\"seeds\":%d,\"frames\":%d,\"points\":[%s]}\n"
-    cfg.seeds horizon
-    (Buffer.contents json_points)
-
-(* Long-lived service under sustained batched churn: how many events/sec
-   the incremental repair path sustains, the tail repair latency, and the
-   locality (fraction of arcs a batch touches).  Batch size is the knob:
-   batch=1 is the worst case (every event pays a full repair), larger
-   batches amortize coalescing and graph rebuilds.  Every point also
-   re-checks the headline invariant -- valid and within [Bounds.upper]
-   after every batch. *)
-let serve cfg =
-  Report.section
-    (Printf.sprintf
-       "Service sweep: sustained events/sec, p99 repair latency and locality vs \
-        family x batch size (%d seeds)"
-       cfg.seeds);
-  let families =
-    [
-      ("udg30", fun rng -> fst (Gen.udg rng ~n:30 ~side:5. ~radius:1.4));
-      ("gnp40", fun rng -> Gen.gnp rng ~n:40 ~p:0.08);
-    ]
-  in
-  let families = take_smoke cfg 1 families in
-  let batch_sizes = if cfg.smoke then [ 8 ] else [ 1; 8; 32 ] in
-  let events = if cfg.smoke then 96 else 800 in
-  let json_points = Buffer.create 512 in
-  let rows =
-    List.concat_map
-      (fun (fam, make) ->
-        List.map
-          (fun bsz ->
-            let labels = [ ("family", fam); ("batch", string_of_int bsz) ] in
-            let m = msink cfg labels in
-            let total_events = ref 0 in
-            let total_secs = ref 0. in
-            let total_recolored = ref 0 in
-            let touched = ref [] in
-            let slots = ref [] in
-            for k = 0 to cfg.seeds - 1 do
-              let g = make (rng_for cfg k) in
-              let sched = (Dfs_sched.run g).Dfs_sched.schedule in
-              let svc = Service.create ~metrics:m sched in
-              let stream =
-                Service.synth svc ~seed:(cfg.base_seed + (17 * k)) ~events
-                  ~batch:bsz
-              in
-              let t0 = Unix.gettimeofday () in
-              List.iter
-                (fun evs ->
-                  let b = Service.apply svc evs in
-                  touched := b.Service.b_touched_frac :: !touched;
-                  if not (Schedule.valid (Service.schedule svc)) then
-                    failwith "bench serve: invalid schedule after batch";
-                  if Service.num_slots svc > Bounds.upper (Service.graph svc)
-                  then failwith "bench serve: slot budget exceeded")
-                stream;
-              total_secs := !total_secs +. (Unix.gettimeofday () -. t0);
-              let t = Service.totals svc in
-              total_events := !total_events + t.Service.events;
-              total_recolored := !total_recolored + t.Service.recolored;
-              slots := float_of_int (Service.num_slots svc) :: !slots
-            done;
-            let eps = float_of_int !total_events /. Float.max !total_secs 1e-9 in
-            let touched_frac = Report.mean !touched in
-            let p50, p99 =
-              match
-                Metrics.histogram ~labels cfg.metrics
-                  "fdlsp_service_repair_seconds"
-              with
-              | Some h when Metrics.Hist.count h > 0 ->
-                  ( Metrics.Hist.quantile h 0.5 *. 1000.,
-                    Metrics.Hist.quantile h 0.99 *. 1000. )
-              | _ -> (0., 0.)
-            in
-            let recol_per_event =
-              float_of_int !total_recolored /. float_of_int (max 1 !total_events)
-            in
-            let mean_slots = Report.mean !slots in
-            (* Durable-serving cost: log the full stream through a WAL
-               store, then time recovery with no auto-snapshot -- the
-               worst case, every segment replayed on the snapshot.
-               Recovery is replayed three times on the same log and the
-               minimum taken: min-of-k discards cold-cache and scheduler
-               noise, which dwarfs the replay itself at bench sizes. *)
-            let recovery_ms =
-              let g = make (rng_for cfg 0) in
-              let svc = Service.create (Dfs_sched.run g).Dfs_sched.schedule in
-              let stream =
-                Service.synth svc ~seed:cfg.base_seed ~events ~batch:bsz
-              in
-              let dir = Filename.temp_file "fdlsp-bench-wal" "" in
-              Sys.remove dir;
-              Sys.mkdir dir 0o755;
-              Fun.protect
-                ~finally:(fun () ->
-                  Array.iter
-                    (fun f -> Sys.remove (Filename.concat dir f))
-                    (Sys.readdir dir);
-                  Sys.rmdir dir)
-                (fun () ->
-                  let st = Wal.Store.create ~dir svc in
-                  List.iter (fun evs -> ignore (Wal.Store.apply st evs)) stream;
-                  Wal.Store.close st;
-                  let one () =
-                    let t0 = Unix.gettimeofday () in
-                    let st2, _ = Wal.Store.recover ~dir () in
-                    let dt = (Unix.gettimeofday () -. t0) *. 1000. in
-                    Wal.Store.close st2;
-                    dt
-                  in
-                  List.fold_left
-                    (fun acc () -> Float.min acc (one ()))
-                    (one ())
-                    [ (); () ])
-            in
-            (* Admission-control decision cost alone (offer + poll with
-               limits wide open, no repair work), in us per event. *)
-            let admission_us =
-              let g = make (rng_for cfg 0) in
-              let svc = Service.create (Dfs_sched.run g).Dfs_sched.schedule in
-              let stream =
-                Service.synth svc ~seed:cfg.base_seed ~events ~batch:bsz
-              in
-              let lim =
-                {
-                  Admission.default_limits with
-                  Admission.rate = Float.infinity;
-                  max_batch = max 1 bsz;
-                  max_node = max_int - 1;
-                  max_degree_delta = max_int;
-                  queue_cap = max_int;
-                }
-              in
-              let adm = Admission.create ~limits:lim () in
-              let released = ref 0 in
-              let t0 = Unix.gettimeofday () in
-              List.iteri
-                (fun i evs ->
-                  let now = float_of_int i in
-                  ignore (Admission.offer adm ~source:0 ~now evs);
-                  match Admission.poll adm ~now with
-                  | Some e -> released := !released + List.length e
-                  | None -> ())
-                stream;
-              let dt = Unix.gettimeofday () -. t0 in
-              dt *. 1e6 /. float_of_int (max 1 !released)
-            in
-            Metrics.gauge m "fdlsp_bench_serve_events_per_sec" eps;
-            Metrics.gauge m "fdlsp_bench_serve_p99_repair_ms" p99;
-            Metrics.gauge m "fdlsp_bench_serve_touched_frac" touched_frac;
-            Metrics.gauge m "fdlsp_bench_serve_recovery_ms" recovery_ms;
-            Metrics.gauge m "fdlsp_bench_serve_admission_overhead_us" admission_us;
-            if Buffer.length json_points > 0 then Buffer.add_char json_points ',';
-            Buffer.add_string json_points
-              (Printf.sprintf
-                 "{\"family\":\"%s\",\"batch\":%d,\"events_per_sec\":%.0f,\
-                  \"repair_ms_p50\":%.4f,\"repair_ms_p99\":%.4f,\
-                  \"touched_frac\":%.4f,\"recolored_per_event\":%.2f,\
-                  \"slots\":%.1f,\"recovery_ms\":%.3f,\
-                  \"admission_overhead_us\":%.3f}"
-                 fam bsz eps p50 p99 touched_frac recol_per_event mean_slots
-                 recovery_ms admission_us);
-            [
-              fam;
-              string_of_int bsz;
-              Printf.sprintf "%.0f" eps;
-              Printf.sprintf "%.4f" p50;
-              Printf.sprintf "%.4f" p99;
-              Printf.sprintf "%.4f" touched_frac;
-              Report.f1 recol_per_event;
-              Report.f1 mean_slots;
-              Printf.sprintf "%.2f" recovery_ms;
-              Printf.sprintf "%.2f" admission_us;
-            ])
-          batch_sizes)
-      families
-  in
-  print_string
-    (Report.table
-       ~header:
-         [
-           "family"; "batch"; "events/s"; "p50_ms"; "p99_ms"; "touched";
-           "recol/ev"; "slots"; "recov_ms"; "adm_us";
-         ]
-       rows);
-  print_newline ();
-  Printf.printf
-    "JSON: {\"experiment\":\"serve\",\"seeds\":%d,\"events\":%d,\"points\":[%s]}\n"
-    cfg.seeds events
-    (Buffer.contents json_points)
-
-(* ------------------------------------------------------------------ *)
-(* Shard sweep: domain-parallel engine scaling                         *)
-(* ------------------------------------------------------------------ *)
-
-(* DistMIS(Hashed) on one large unit-disk graph, swept over the domain
-   count k.  Speedup is whole-algorithm wall clock t(1)/t(k) against
-   the sequential engine (the runs are bit-identical, which the sweep
-   asserts via the slot count); barrier_frac is the engine's own gauge
-   for the primary-MIS phase -- the phase that runs on the full graph;
-   virtual graphs sit below the runner's size threshold and take the
-   sequential fallback -- and cut_frac is the geometric partition's
-   edge-cut fraction.  The full-size point (10^6 nodes, 8 domains)
-   demonstrates near-linear scaling only on >= 8 hardware cores; on
-   fewer cores the sweep still checks identity and the overhead gauges,
-   and the speedup gauge simply reports what the machine can do. *)
-let shards cfg =
-  let n, side, domain_counts =
-    if cfg.smoke then (3_000, 34., [ 1; 2; 4 ]) else (1_000_000, 625., [ 1; 2; 4; 8 ])
-  in
-  Report.section
-    (Printf.sprintf
-       "Shard sweep: DistMIS over the domain-parallel engine (UDG, n=%d, r=1)" n);
-  let g, points = Gen.udg (rng_for cfg 0) ~n ~side ~radius:1. in
-  let json_points = Buffer.create 256 in
-  let base_time = ref nan in
-  let base_slots = ref (-1) in
-  let rows =
-    List.map
-      (fun k ->
-        let labels = [ ("domains", string_of_int k) ] in
-        let m = msink cfg labels in
-        let engine =
-          if k = 1 then None
-          else Some (Fdlsp_sim.Parallel.runner ~points ~domains:k ())
-        in
-        let t0 = Fdlsp_sim.Clock.now () in
-        let r =
-          Dist_mis.run ?engine ~metrics:m ~mis:(Mis.Hashed cfg.base_seed)
-            ~variant:Dist_mis.Gbg g
-        in
-        let dt = Fdlsp_sim.Clock.now () -. t0 in
-        let slots = Schedule.num_slots r.Dist_mis.schedule in
-        if k = 1 then begin
-          base_time := dt;
-          base_slots := slots
-        end
-        else if slots <> !base_slots then
-          failwith "bench shards: parallel run diverged from the sequential engine";
-        let speedup = if k = 1 then 1. else !base_time /. dt in
-        let barrier_frac =
-          if k = 1 then 0.
-          else
-            match
-              Metrics.gauge_value
-                ~labels:
-                  (labels
-                  @ [
-                      ("algo", "distmis"); ("variant", "gbg"); ("phase", "mis");
-                      ("engine", "parallel");
-                    ])
-                cfg.metrics Fdlsp_sim.Metrics.Name.parallel_barrier_frac
-            with
-            | Some f -> f
-            | None -> 0.
-        in
-        let cut_frac =
-          if k = 1 then 0.
-          else Partition.cut_fraction g (Partition.of_graph ~points g ~parts:k)
-        in
-        Metrics.gauge m "fdlsp_bench_shard_speedup" speedup;
-        Metrics.gauge m "fdlsp_bench_shard_barrier_frac" barrier_frac;
-        Metrics.gauge m "fdlsp_bench_shard_cut_frac" cut_frac;
-        if Buffer.length json_points > 0 then Buffer.add_char json_points ',';
-        Buffer.add_string json_points
-          (Printf.sprintf
-             "{\"domains\":%d,\"seconds\":%.3f,\"speedup\":%.3f,\
-              \"barrier_frac\":%.4f,\"cut_frac\":%.4f,\"slots\":%d}"
-             k dt speedup barrier_frac cut_frac slots);
-        [
-          string_of_int k;
-          Printf.sprintf "%.3f" dt;
-          Printf.sprintf "%.2f" speedup;
-          Printf.sprintf "%.4f" barrier_frac;
-          Printf.sprintf "%.4f" cut_frac;
-          string_of_int slots;
-        ])
-      domain_counts
-  in
-  print_string
-    (Report.table
-       ~header:[ "domains"; "seconds"; "speedup"; "barrier"; "cut"; "slots" ]
-       rows);
-  print_newline ();
-  Printf.printf
-    "JSON: {\"experiment\":\"shards\",\"n\":%d,\"points\":[%s]}\n" n
-    (Buffer.contents json_points)
+  print_newline ()

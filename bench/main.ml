@@ -1,54 +1,41 @@
 (* Benchmark harness: regenerates every table and figure of the paper's
-   evaluation (Section 8) plus the repository's own ablations and
-   wall-clock timings.  Each experiment records into its own metrics
-   registry; the snapshots are folded into one schema-versioned JSON
-   report (bench/schema.json describes the envelope).
+   evaluation (Section 8) plus the repository's own ablations.  Each
+   experiment records into its own metrics registry; the snapshots are
+   folded into one schema-versioned JSON report of exact, seeded values
+   (see Report.write).  Wall-clock performance is perfbench/'s job.
 
      dune exec bench/main.exe                 # everything, default seeds
      dune exec bench/main.exe -- fig8 fig13   # selected experiments
      dune exec bench/main.exe -- --seeds 75 all   # the paper's seed count
-     dune exec bench/main.exe -- --smoke --out BENCH_fdlsp.json  # CI mode *)
+     dune exec bench/main.exe -- --smoke --out BENCH_fdlsp.json  # the committed record *)
 
 open Cmdliner
 
+(* An experiment answers to every figure it reproduces: Figures 14 and 15
+   plot the rounds of Figures 12's and 11's runs, so each G(n,m) sweep
+   runs once and records both. *)
 let experiments =
   [
-    ("table1", Experiments.table1);
-    ("fig8", Experiments.fig8);
-    ("fig9", Experiments.fig9);
-    ("fig10", Experiments.fig10);
-    ("fig11", Experiments.fig11);
-    ("fig12", Experiments.fig12);
-    ("fig13", Experiments.fig13);
-    ("fig14", Experiments.fig14);
-    ("fig15", Experiments.fig15);
-    ("faults", Experiments.faults);
-    ("phases", Experiments.phases);
-    ("stabilize", Experiments.stabilize);
-    ("frames", Experiments.frames);
-    ("serve", Experiments.serve);
-    ("shards", Experiments.shards);
-    ("ablation", Experiments.ablation);
-    ( "timing",
-      fun (cfg : Experiments.config) ->
-        Timing.run
-          ~quota:(if cfg.Experiments.smoke then 0.25 else 1.0)
-          ~smoke:cfg.Experiments.smoke
-          ~metrics:(Fdlsp_sim.Metrics.sink cfg.Experiments.metrics)
-          () );
+    ([ "table1" ], Experiments.table1);
+    ([ "fig8" ], Experiments.fig8);
+    ([ "fig9" ], Experiments.fig9);
+    ([ "fig10" ], Experiments.fig10);
+    ([ "fig11"; "fig15" ], Experiments.fig11);
+    ([ "fig12"; "fig14" ], Experiments.fig12);
+    ([ "fig13" ], Experiments.fig13);
+    ([ "faults" ], Experiments.faults);
+    ([ "phases" ], Experiments.phases);
+    ([ "stabilize" ], Experiments.stabilize);
+    ([ "frames" ], Experiments.frames);
+    ([ "ablation" ], Experiments.ablation);
   ]
 
-(* Representative corner of the suite that CI can afford on every push. *)
-let smoke_experiments =
-  [
-    "table1"; "fig8"; "fig13"; "faults"; "phases"; "stabilize"; "frames";
-    "serve"; "shards"; "timing";
-  ]
+let all_names = List.concat_map fst experiments
 
 let names_arg =
-  let all = List.map fst experiments in
   let doc =
-    Printf.sprintf "Experiments to run: %s, or 'all' (default)." (String.concat " | " all)
+    Printf.sprintf "Experiments to run: %s, or 'all' (default)."
+      (String.concat " | " all_names)
   in
   Arg.(value & pos_all string [ "all" ] & info [] ~docv:"EXPERIMENT" ~doc)
 
@@ -62,8 +49,8 @@ let full_arg =
 
 let smoke_arg =
   let doc =
-    "CI mode: cap seeds at 2, shrink every sweep to a representative corner, and run the \
-     smoke experiment subset when no experiment is named."
+    "Record mode: cap seeds at 2 and shrink every sweep to a representative corner.  \
+     The committed BENCH_fdlsp.json is the smoke report of every experiment."
   in
   Arg.(value & flag & info [ "smoke" ] ~doc)
 
@@ -73,13 +60,7 @@ let out_arg =
 
 let run names seeds full smoke out =
   let seeds = if full then 75 else if smoke then min seeds 2 else seeds in
-  let names =
-    if List.mem "all" names then
-      if smoke then smoke_experiments else List.map fst experiments
-    else names
-  in
-  let unknown = List.filter (fun n -> not (List.mem_assoc n experiments)) names in
-  match unknown with
+  match List.filter (fun n -> n <> "all" && not (List.mem n all_names)) names with
   | u :: _ ->
       Printf.eprintf "unknown experiment %S\n" u;
       exit 1
@@ -87,12 +68,13 @@ let run names seeds full smoke out =
       Printf.printf "fdlsp bench: %d seed(s) per data point%s\n" seeds
         (if smoke then " (smoke)" else "");
       List.iter
-        (fun n ->
-          let reg = Fdlsp_sim.Metrics.create () in
-          let cfg = { Experiments.seeds; base_seed = 42; smoke; metrics = reg } in
-          (List.assoc n experiments) cfg;
-          Report.record ~name:n reg)
-        names;
+        (fun (aliases, experiment) ->
+          if List.exists (fun n -> n = "all" || List.mem n aliases) names then begin
+            let reg = Fdlsp_sim.Metrics.create () in
+            experiment { Experiments.seeds; base_seed = 42; smoke; metrics = reg };
+            Report.record ~name:(String.concat "+" aliases) reg
+          end)
+        experiments;
       Report.write ~out ~seeds ~smoke
 
 let () =
