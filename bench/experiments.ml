@@ -599,29 +599,35 @@ let ablation cfg =
   for k = 0 to cfg.seeds - 1 do
     let rng = rng_for cfg k in
     let g = make rng in
-    let state = ref (Repair.of_schedule (Dfs_sched.run g).Dfs_sched.schedule) in
+    (* one event per batch, refine off: raw drift, as Churn measures it *)
+    let svc = Service.create ~refine:false (Dfs_sched.run g).Dfs_sched.schedule in
     let work = ref 0 in
     for _ = 1 to 20 do
-      let n = Repair.nodes !state in
-      match Random.State.int rng 3 with
-      | 0 ->
-          let t, _, c =
-            Repair.add_node !state ~neighbors:[ Random.State.int rng n ]
-          in
-          state := t;
-          work := !work + c
-      | 1 -> state := Repair.remove_node !state (Random.State.int rng n)
-      | _ ->
-          let v = Random.State.int rng n in
-          let nbrs = [ Random.State.int rng n ] |> List.filter (fun w -> w <> v) in
-          let t, c = Repair.move_node !state v ~new_neighbors:nbrs in
-          state := t;
-          work := !work + c
+      let n = Service.nodes svc in
+      let ev =
+        match Random.State.int rng 3 with
+        | 0 -> Service.Join { node = n; neighbors = [ Random.State.int rng n ] }
+        | 1 -> Service.Leave (Random.State.int rng n)
+        | _ ->
+            let v = Random.State.int rng n in
+            let nbrs = [ Random.State.int rng n ] |> List.filter (fun w -> w <> v) in
+            Service.Move { node = v; neighbors = nbrs }
+      in
+      work := !work + (Service.apply svc [ ev ]).Service.b_recolored
     done;
-    drift := float_of_int (Repair.num_slots !state) :: !drift;
-    fresh := float_of_int (Repair.recompute !state) :: !fresh;
+    drift := float_of_int (Service.num_slots svc) :: !drift;
+    fresh :=
+      float_of_int (Schedule.num_slots (Dfs_sched.run (Service.graph svc)).Dfs_sched.schedule)
+      :: !fresh;
     local_work := float_of_int !work :: !local_work
   done;
+  let m = msink cfg [ ("ablation", "E") ] in
+  let slots series v =
+    Metrics.gauge (Metrics.with_label m "series" series) "fdlsp_bench_slots" v
+  in
+  slots "patched" (Report.mean !drift);
+  slots "fresh" (Report.mean !fresh);
+  Metrics.gauge m "fdlsp_bench_recolored_arcs" (Report.mean !local_work);
   print_string
     (Report.table
        ~header:[ "metric"; "value" ]

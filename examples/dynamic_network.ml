@@ -1,9 +1,10 @@
 (* Dynamic network: the paper's future-work scenario (Section 9).
 
    Sensors join, fail and move while the network keeps a valid TDMA
-   link schedule at all times.  The repair is local - only arcs around
-   the affected nodes are (re)colored - and we track how the slot count
-   drifts compared to recomputing from scratch.
+   link schedule at all times.  Each topology event is one batch
+   through the scheduling service: only arcs around the affected nodes
+   are (re)colored, and we track how the slot count drifts compared to
+   recomputing from scratch.
 
    Run with: dune exec examples/dynamic_network.exe *)
 
@@ -15,62 +16,62 @@ let () =
   let rng = Random.State.make [| 99 |] in
   let g, _ = Gen.udg rng ~n:50 ~side:7. ~radius:1.5 in
   let dfs = Dfs_sched.run g in
-  let state = ref (Repair.of_schedule dfs.Dfs_sched.schedule) in
+  (* refine off: measure the raw drift of local repair *)
+  let svc = Service.create ~refine:false dfs.Dfs_sched.schedule in
   Printf.printf "Initial network: %d sensors, %d links, %d slots\n" (Graph.n g) (Graph.m g)
-    (Repair.num_slots !state);
+    (Service.num_slots svc);
 
   let total_recolored = ref 0 in
-  let describe op cost =
+  let apply op ev =
+    let cost = (Service.apply svc [ ev ]).Service.b_recolored in
     total_recolored := !total_recolored + cost;
-    let valid = Schedule.valid (Repair.schedule !state) in
+    let valid = Schedule.valid (Service.schedule svc) in
     Printf.printf "%-34s -> %2d arcs recolored, %2d slots, valid=%b\n" op cost
-      (Repair.num_slots !state) valid;
+      (Service.num_slots svc) valid;
     assert valid
   in
 
   (* ten sensors join near random existing ones *)
   for _ = 1 to 10 do
-    let n = Repair.nodes !state in
+    let n = Service.nodes svc in
     let anchor = Random.State.int rng n in
     let extra = Random.State.int rng n in
     let nbrs = if extra = anchor then [ anchor ] else [ anchor; extra ] in
-    let t, v, cost = Repair.add_node !state ~neighbors:nbrs in
-    state := t;
-    describe (Printf.sprintf "sensor %d joins (%d links)" v (List.length nbrs)) cost
+    apply
+      (Printf.sprintf "sensor %d joins (%d links)" n (List.length nbrs))
+      (Service.Join { node = n; neighbors = nbrs })
   done;
 
   (* five sensors fail *)
   for _ = 1 to 5 do
-    let v = Random.State.int rng (Repair.nodes !state) in
-    state := Repair.remove_node !state v;
-    describe (Printf.sprintf "sensor %d fails" v) 0
+    let v = Random.State.int rng (Service.nodes svc) in
+    apply (Printf.sprintf "sensor %d fails" v) (Service.Leave v)
   done;
 
   (* five sensors move to new positions (all links replaced) *)
   for _ = 1 to 5 do
-    let n = Repair.nodes !state in
+    let n = Service.nodes svc in
     let v = Random.State.int rng n in
     let nbrs =
       List.init 2 (fun _ -> Random.State.int rng n) |> List.filter (fun w -> w <> v)
     in
-    let t, cost = Repair.move_node !state v ~new_neighbors:nbrs in
-    state := t;
-    describe (Printf.sprintf "sensor %d moves (%d new links)" v (List.length nbrs)) cost
+    apply
+      (Printf.sprintf "sensor %d moves (%d new links)" v (List.length nbrs))
+      (Service.Move { node = v; neighbors = nbrs })
   done;
 
-  let patched = Repair.num_slots !state in
-  let fresh = Repair.recompute !state in
+  let g' = Service.graph svc in
+  let sched' = Service.schedule svc in
+  let patched = Service.num_slots svc in
+  let fresh = Schedule.num_slots (Dfs_sched.run g').Dfs_sched.schedule in
   Printf.printf "\nAfter churn: %d slots patched-in-place vs %d from a fresh DFS run\n" patched
     fresh;
   Printf.printf "Total local recoloring work: %d arcs across 20 topology events\n"
     !total_recolored;
-  Printf.printf "(a full recompute would recolor all %d arcs every event)\n"
-    (Arc.count (Repair.graph !state));
+  Printf.printf "(a full recompute would recolor all %d arcs every event)\n" (Arc.count g');
 
   (* The same repair as a distributed protocol (Local_update): measure
      what one more join costs the network in messages and time. *)
-  let g' = Repair.graph !state in
-  let sched' = Repair.schedule !state in
   (* stage a joining sensor: rebuild with one extra node linked to two
      existing ones, carry colors over, leave the newcomer's arcs blank *)
   let n' = Graph.n g' in

@@ -2,8 +2,8 @@
 
     Applied to {!Conflict.conflict_graph} this computes the optimal
     FDLSP slot count — the "ILP" column of the paper's Table 1 — and it
-    cross-validates the from-scratch ILP solver in [fdlsp_ilp] on tiny
-    instances.  Exponential in the worst case; bounded by
+    cross-validates the from-scratch ILP solver of the test suite on
+    tiny instances.  Exponential in the worst case; bounded by
     [max_decisions]. *)
 
 open Fdlsp_graph

@@ -204,9 +204,15 @@ let run ?(policy = Max_degree) ?(delay = Async.Unit) ?faults ?reliable ?roots
     | None, _ -> None
   in
   let scratch = Conflict.scratch g in
+  (* Messages are O(m Δ) (see the interface), so the event budget
+     follows the graph; the 10^6 floor is the livelock guard on small
+     graphs. *)
+  let max_events =
+    max 1_000_000 (8 * (Graph.n g + Arc.count g) * (Graph.max_degree g + 1))
+  in
   let states, stats =
-    Async.run ~delay ?faults ?reliable ~weight ~trace ~metrics ~spans g ~init ~starts
-      ~handler:(handler ~scratch trace g policy)
+    Async.run ~delay ~max_events ?faults ?reliable ~weight ~trace ~metrics ~spans g ~init
+      ~starts ~handler:(handler ~scratch trace g policy)
   in
   let sched = Schedule.make g in
   Array.iter

@@ -12,7 +12,10 @@
     Time is O(n) token steps with a constant per-step overhead
     (query/reply plus announce/ack synchronization that keeps the
     distance-2 tables coherent before the token moves on); message
-    complexity is O(m Δ) from the one-hop announcement forwarding. *)
+    complexity is O(m Δ) from the one-hop announcement forwarding.
+    The asynchronous engine's event budget is sized from that bound
+    (never below 10{^6}), so it guards against livelock without capping
+    the graph size. *)
 
 open Fdlsp_graph
 open Fdlsp_color

@@ -62,8 +62,8 @@ val run :
     does not support fault injection (see {!Mis.compute}).
 
     [engine] overrides the synchronous channel for every phase (e.g.
-    {!Fdlsp_sim.Lockstep.runner} to carry the whole algorithm over the
-    asynchronous engine); when given, [faults]/[reliable] are ignored.
+    {!Fdlsp_sim.Parallel.runner} to step it on several domains); when
+    given, [faults]/[reliable] are ignored.
 
     [trace] records the run: a [Phase] marker per engine use (["mis"]
     at scale 1, ["secondary-mis"] at the variant's relay scale,

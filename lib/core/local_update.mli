@@ -1,6 +1,6 @@
 (** Distributed schedule repair — the paper's future work (Section 9)
     as a message-passing protocol, complementing the centralized
-    bookkeeping in {!Repair}.
+    batched repair in {!Service}.
 
     After a topology event the affected sensors patch the schedule
     themselves: a coordinator refreshes itself and then hands a token to

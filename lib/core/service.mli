@@ -1,9 +1,10 @@
 (** Long-lived scheduling service: batched churn between O(1) slot queries.
 
-    {!Repair} and {!Local_update} repair one topology event at a time; a
-    deployed scheduler absorbs {e streams}.  This module owns a mutable
-    schedule and ingests {e batches} of [Join]/[Leave]/[Move]/[Degrade]
-    events.  Each batch is first {b coalesced} (per-node net effect:
+    {!Local_update} repairs one topology event at a time as a
+    distributed protocol; a deployed scheduler absorbs {e streams}.
+    This module owns a mutable schedule and ingests {e batches} of
+    [Join]/[Leave]/[Move]/[Degrade] events (a single event is a batch
+    of one: {!Churn} and the repair-drift ablation feed it that way).  Each batch is first {b coalesced} (per-node net effect:
     duplicates deduped, a join cancelled by a later leave, consecutive
     moves merged into the last one, degrades deduplicated and dropped
     when subsumed by a node op), then {b repaired incrementally}: the

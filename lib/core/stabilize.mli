@@ -80,10 +80,9 @@ val run :
     protocol runs on the raw synchronous engine, otherwise under
     {!Reliable.run_sync} (configured by [reliable]) — blip times are
     physical rounds there.  [engine] overrides the engine entirely
-    (e.g. [Lockstep.runner ~blips ()] to run over the asynchronous
-    engine; the caller is then responsible for building the engine over
-    the same blips, while [faults] still supplies the report metadata
-    and default horizon).
+    (the caller is then responsible for building the engine over the
+    same blips, while [faults] still supplies the report metadata and
+    default horizon).
 
     When [trace] is enabled the run emits a ["stabilize"] phase marker,
     the initial coloring as [Color] events at t=0, and [Corrupt_state] /

@@ -211,8 +211,9 @@ module Store = struct
       Metrics.inc t.metrics Name.wal_appends;
       Metrics.inc ~by:(String.length seg) t.metrics Name.wal_bytes
     end;
-    (* the segment is durable before any repair state mutates: a crash
-       from here on replays it *)
+    (* the segment reaches the OS before any repair state mutates: a
+       process crash from here on replays it (no fsync, so a power loss
+       may still lose it) *)
     let b = Service.apply t.svc events in
     t.since_snapshot <- t.since_snapshot + 1;
     if t.auto_snapshot > 0 && t.since_snapshot >= t.auto_snapshot then

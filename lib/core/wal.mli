@@ -5,8 +5,9 @@
     snapshots.  Every batch is appended to an on-disk log as a
     checksummed, length-prefixed segment {e before} repair runs, so a
     process crash at any instant — including mid-[write(2)] — loses at
-    most the batch whose segment never finished hitting the disk, and
-    never corrupts recovery:
+    most the batch whose segment was never fully flushed, and never
+    corrupts recovery (segments are flushed to the OS, not fsynced: a
+    power loss is outside this guarantee):
 
     {v
     segment  :=  "walseg <seq> <len> <md5hex>\n" payload "\n"
@@ -96,7 +97,9 @@ module Store : sig
       on filesystem failure.
 
       [spans] records ["wal.append"] / ["wal.fsync"] spans per applied
-      batch and a ["wal.snapshot"] span per snapshot write (give the
+      batch (["wal.fsync"] times the [flush] to the OS; nothing calls
+      [fsync], so a segment survives a process crash, not a power
+      loss) and a ["wal.snapshot"] span per snapshot write (give the
       store the same sink as its service so the WAL spans and the
       repair spans interleave in one causal stream). *)
 

@@ -106,8 +106,8 @@ val run :
     a traced run is event-for-event identical to an untraced one.
 
     [metrics] (default {!Metrics.null}) records under an [engine=async]
-    label (unless the caller already set [engine], as {!Lockstep}
-    does): the returned stats via {!Metrics.add_stats} (so
+    label (unless the caller already set [engine] for a layer it runs
+    over this engine): the returned stats via {!Metrics.add_stats} (so
     [Metrics.to_stats] reproduces the returned record exactly), a
     {!Metrics.Name.queue_depth} histogram observation per popped event,
     and a {!Metrics.Name.round_messages} series point (cumulative sends

@@ -203,7 +203,7 @@ let registry = function Null -> None | Active a -> Some a.reg
 let sink_labels = function Null -> [] | Active a -> a.labels
 
 (* Adds the label only when the key is absent, so an outer layer's
-   label (say [engine=lockstep]) survives an inner layer's default. *)
+   label survives an inner layer's default. *)
 let with_label m k v =
   match m with
   | Null -> Null

@@ -1,7 +1,7 @@
 (** Metrics registry: labeled counters, gauges, log-bucketed histograms
     and timeline series, with a cheap [sink] handle threaded as
     [?metrics] through the engines ({!Sync}, {!Async}, {!Reliable},
-    {!Lockstep}) and the protocols built on them.
+    {!Parallel}) and the protocols built on them.
 
     The model mirrors {!Trace}: recording goes through a sink that is
     either {!null} (every call a no-op, the default everywhere) or bound

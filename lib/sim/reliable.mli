@@ -20,7 +20,7 @@
     arrival and recovered by retransmission.  Crash faults are {e not}
     masked: a permanently crashed node stalls its neighbors (the layer
     guarantees delivery, not consensus); crash recovery is the job of
-    [Fdlsp_core.Repair] and the churn driver.
+    [Fdlsp_core.Service] and the churn driver.
 
     Termination of [run_sync] is detected by the simulator globally
     (every participant halted), side-stepping the two-generals problem

@@ -188,6 +188,39 @@ let realize_batch svc hints =
             Some (Service.Degrade { u; v }))
     hints
 
+(* One random topology event per batch, as [Churn] feeds the service: a
+   fresh join, a leave, a new link (the endpoint re-homes onto its
+   current neighbors plus one), a lost link (degrade), or a move.  After
+   every event the schedule must validate and the id space must keep
+   every ghost; the first violation raises [Failure] naming the step.
+   Shared by the single-event repair tests of several suites. *)
+let single_event_churn rng svc ~steps =
+  let module Service = Fdlsp_core.Service in
+  for step = 1 to steps do
+    let n = Service.nodes svc and g = Service.graph svc in
+    let live = List.filter (Service.alive svc) (List.init n Fun.id) in
+    let pick () = List.nth live (Random.State.int rng (List.length live)) in
+    let sample ~avoid k = List.filter (( <> ) avoid) (List.init k (fun _ -> pick ())) in
+    let ev =
+      if live = [] then Service.Join { node = n; neighbors = [] }
+      else
+        let u = pick () in
+        let nbrs = Graph.neighbors g u in
+        match Random.State.int rng 5 with
+        | 0 -> Service.Join { node = n; neighbors = sample ~avoid:n 2 }
+        | 1 -> Service.Leave u
+        | 2 -> Service.Move { node = u; neighbors = sample ~avoid:u 1 @ Array.to_list nbrs }
+        | 3 when nbrs <> [||] ->
+            Service.Degrade { u; v = nbrs.(Random.State.int rng (Array.length nbrs)) }
+        | _ -> Service.Move { node = u; neighbors = sample ~avoid:u 3 }
+    in
+    ignore (Service.apply svc [ ev ]);
+    let grew = match ev with Service.Join _ -> 1 | _ -> 0 in
+    if Service.nodes svc <> n + grew then failwith (Printf.sprintf "step %d: ids moved" step);
+    if not (Fdlsp_color.Schedule.valid (Service.schedule svc)) then
+      failwith (Printf.sprintf "step %d: invalid schedule" step)
+  done
+
 let arb_connected ?(max_n = 25) () =
   make ~keep:Traversal.is_connected (fun st ->
       let n = 3 + Random.State.int st max_n in

@@ -91,16 +91,6 @@ let prop_trees_all_optimal =
 
 (* --- representation round trips ------------------------------------- *)
 
-let prop_frequency_merge_split =
-  qtest "split/merge keeps the conflict-freedom of a schedule" (arb_gnp ~max_n:12 ())
-    (fun g ->
-      let s = Greedy.color g in
-      List.for_all
-        (fun channels ->
-          let t = Frequency.split s ~channels in
-          Schedule.valid (Frequency.merge g t))
-        [ 1; 2; 3 ])
-
 let prop_schedule_normalize_preserves_validity =
   qtest "normalize preserves validity and slot count" (arb_gnp ~max_n:12 ()) (fun g ->
       let s = (Dfs_sched.run g).Dfs_sched.schedule in
@@ -134,7 +124,6 @@ let () =
       ("dominance", [ prop_exact_dominates_heuristics; prop_trees_all_optimal ]);
       ( "roundtrips",
         [
-          prop_frequency_merge_split;
           prop_schedule_normalize_preserves_validity;
           prop_frame_vs_validator;
         ] );

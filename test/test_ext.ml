@@ -182,35 +182,6 @@ let prop_slot_ordering_never_hurts =
       let after = Tdma.convergecast g ordered ~sink:0 ~packets ~max_frames:100_000 in
       Schedule.valid ordered && after.Tdma.frames <= before.Tdma.frames)
 
-let test_frequency_split () =
-  let g = Gen.gnm (rng ()) ~n:30 ~m:80 in
-  let sched = Greedy.color g in
-  let k = Schedule.num_slots sched in
-  let two = Frequency.split sched ~channels:2 in
-  Alcotest.(check bool) "valid on 2 channels" true (Frequency.is_valid g two);
-  Alcotest.(check int) "frame halves" ((k + 1) / 2) two.Frequency.frame_length;
-  let one = Frequency.split sched ~channels:1 in
-  Alcotest.(check int) "1 channel = plain frame" k one.Frequency.frame_length;
-  (* merge inverts split up to color names *)
-  let merged = Frequency.merge g two in
-  Alcotest.(check bool) "merge valid" true (Schedule.valid merged);
-  Alcotest.(check int) "merge slot count" k (Schedule.num_slots merged)
-
-let test_frequency_rejects () =
-  let g = Gen.path 3 in
-  Alcotest.check_raises "channels" (Invalid_argument "Frequency.split: need at least one channel")
-    (fun () -> ignore (Frequency.split (Greedy.color g) ~channels:0));
-  Alcotest.check_raises "invalid schedule"
-    (Invalid_argument "Frequency.split: invalid schedule") (fun () ->
-      ignore (Frequency.split (Schedule.make g) ~channels:2))
-
-let prop_frequency_valid =
-  qtest "frequency split valid for 1..4 channels" ~count:40 (arb_gnp ()) (fun g ->
-      let sched = Greedy.color g in
-      List.for_all
-        (fun f -> Frequency.is_valid g (Frequency.split sched ~channels:f))
-        [ 1; 2; 3; 4 ])
-
 let test_link_vs_broadcast_energy () =
   (* the introduction's claim: link scheduling conserves receiver energy
      because only intended receivers listen *)
@@ -228,89 +199,73 @@ let test_link_vs_broadcast_energy () =
   end
 
 (* ------------------------------------------------------------------ *)
-(* Repair                                                              *)
+(* Single-event repair through the service                             *)
 (* ------------------------------------------------------------------ *)
 
-let initial_state () =
-  let g = Gen.grid 3 3 in
-  Repair.of_schedule (Dfs_sched.run g).Dfs_sched.schedule
+(* A 3x3 grid under the service with refine off: the raw local repair
+   that Churn and bench ablation E measure. *)
+let grid_service () =
+  Service.create ~refine:false (Dfs_sched.run (Gen.grid 3 3)).Dfs_sched.schedule
+
+let apply svc ev = (Service.apply svc [ ev ]).Service.b_recolored
+let service_valid svc = Schedule.valid (Service.schedule svc)
 
 let test_repair_roundtrip () =
-  let t = initial_state () in
-  Alcotest.(check bool) "starts valid" true (Schedule.valid (Repair.schedule t));
-  Alcotest.(check int) "nodes" 9 (Repair.nodes t)
+  let svc = grid_service () in
+  Alcotest.(check bool) "starts valid" true (service_valid svc);
+  Alcotest.(check int) "nodes" 9 (Service.nodes svc)
 
 let test_repair_add_node () =
-  let t = initial_state () in
-  let t, v, recolored = Repair.add_node t ~neighbors:[ 0; 4 ] in
-  Alcotest.(check int) "fresh id" 9 v;
-  Alcotest.(check int) "only the new arcs touched" 4 recolored;
-  Alcotest.(check bool) "still valid" true (Schedule.valid (Repair.schedule t))
+  let svc = grid_service () in
+  Alcotest.(check int) "only the new arcs touched" 4
+    (apply svc (Service.Join { node = 9; neighbors = [ 0; 4 ] }));
+  Alcotest.(check bool) "fresh id" true (Service.alive svc 9);
+  Alcotest.(check bool) "still valid" true (service_valid svc)
 
 let test_repair_remove_node () =
-  let t = initial_state () in
-  let t = Repair.remove_node t 4 in
-  Alcotest.(check bool) "still valid" true (Schedule.valid (Repair.schedule t));
-  Alcotest.(check int) "ghost keeps id space" 9 (Repair.nodes t);
-  Alcotest.(check int) "links gone" 0 (Graph.degree (Repair.graph t) 4)
+  let svc = grid_service () in
+  Alcotest.(check int) "nothing recolored" 0 (apply svc (Service.Leave 4));
+  Alcotest.(check bool) "still valid" true (service_valid svc);
+  Alcotest.(check int) "ghost keeps id space" 9 (Service.nodes svc);
+  Alcotest.(check int) "links gone" 0 (Graph.degree (Service.graph svc) 4)
 
+(* A new link {u, v} is a move of [u] onto its neighbors plus [v]. *)
 let test_repair_edges () =
-  let t = initial_state () in
-  let t, recolored = Repair.add_edge t 0 8 in
-  Alcotest.(check int) "two arcs" 2 recolored;
-  Alcotest.(check bool) "valid after add" true (Schedule.valid (Repair.schedule t));
-  let t = Repair.remove_edge t 0 8 in
-  Alcotest.(check bool) "valid after remove" true (Schedule.valid (Repair.schedule t));
-  Alcotest.check_raises "double remove" (Invalid_argument "Repair.remove_edge: no such edge")
-    (fun () -> ignore (Repair.remove_edge t 0 8))
+  let svc = grid_service () in
+  let nbrs = Array.to_list (Graph.neighbors (Service.graph svc) 0) in
+  Alcotest.(check int) "only the mover's arcs" 6
+    (apply svc (Service.Move { node = 0; neighbors = 8 :: nbrs }));
+  Alcotest.(check bool) "link added" true (Graph.mem_edge (Service.graph svc) 0 8);
+  Alcotest.(check bool) "valid after add" true (service_valid svc);
+  Alcotest.(check int) "degrade recolors nothing" 0
+    (apply svc (Service.Degrade { u = 0; v = 8 }));
+  Alcotest.(check bool) "valid after remove" true (service_valid svc);
+  Alcotest.check_raises "double remove"
+    (Invalid_argument "Service: degrade names a missing link {0,8}") (fun () ->
+      ignore (apply svc (Service.Degrade { u = 0; v = 8 })))
 
 let test_repair_move () =
-  let t = initial_state () in
-  let t, recolored = Repair.move_node t 8 ~new_neighbors:[ 0; 1 ] in
-  Alcotest.(check int) "four arcs" 4 recolored;
-  Alcotest.(check bool) "valid" true (Schedule.valid (Repair.schedule t));
-  let g = Repair.graph t in
+  let svc = grid_service () in
+  Alcotest.(check int) "four arcs" 4
+    (apply svc (Service.Move { node = 8; neighbors = [ 0; 1 ] }));
+  Alcotest.(check bool) "valid" true (service_valid svc);
+  let g = Service.graph svc in
   Alcotest.(check bool) "new link" true (Graph.mem_edge g 8 0);
   Alcotest.(check bool) "old link gone" false (Graph.mem_edge g 8 7)
 
 let prop_repair_random_churn =
   qtest "random churn keeps the schedule valid" ~count:30 (arb_connected ()) (fun g ->
-      let r = rng () in
-      let t = ref (Repair.of_schedule (Dfs_sched.run g).Dfs_sched.schedule) in
-      for _ = 1 to 15 do
-        let n = Repair.nodes !t in
-        match Random.State.int r 4 with
-        | 0 ->
-            let deg = 1 + Random.State.int r 3 in
-            let nbrs = List.init deg (fun _ -> Random.State.int r n) in
-            let t', _, _ = Repair.add_node !t ~neighbors:nbrs in
-            t := t'
-        | 1 -> t := Repair.remove_node !t (Random.State.int r n)
-        | 2 ->
-            let u = Random.State.int r n and v = Random.State.int r n in
-            if u <> v && not (Graph.mem_edge (Repair.graph !t) u v) then begin
-              let t', _ = Repair.add_edge !t u v in
-              t := t'
-            end
-        | _ ->
-            let v = Random.State.int r n in
-            let nbrs =
-              List.init (Random.State.int r 3) (fun _ -> Random.State.int r n)
-              |> List.filter (fun w -> w <> v)
-            in
-            let t', _ = Repair.move_node !t v ~new_neighbors:nbrs in
-            t := t'
-      done;
-      Schedule.valid (Repair.schedule !t))
+      let svc = Service.create ~refine:false (Dfs_sched.run g).Dfs_sched.schedule in
+      Generators.single_event_churn (rng ()) svc ~steps:15;
+      true)
 
 let test_repair_drift_measurable () =
-  let t = ref (initial_state ()) in
+  let svc = grid_service () in
   for i = 0 to 5 do
-    let t', _, _ = Repair.add_node !t ~neighbors:[ i; i + 1 ] in
-    t := t'
+    ignore (apply svc (Service.Join { node = 9 + i; neighbors = [ i; i + 1 ] }))
   done;
-  let patched = Repair.num_slots !t in
-  let fresh = Repair.recompute !t in
+  let patched = Service.num_slots svc in
+  let fresh = Schedule.num_slots (Dfs_sched.run (Service.graph svc)).Dfs_sched.schedule in
   Alcotest.(check bool)
     (Printf.sprintf "patched (%d) >= fresh (%d) - sanity" patched fresh)
     true (patched >= fresh - 1)
@@ -395,6 +350,55 @@ let prop_local_add_link_valid =
           let patched, _ = Local_update.add_link g' sched u v in
           Schedule.is_complete patched && Schedule.valid patched)
 
+(* Differential: the distributed protocol and the batched service
+   repair the same seeded stream of joins and moves, one event at a
+   time, and must land on the same topology with both schedules
+   complete and Definition-2 valid after every event.  A moved node's
+   arcs are blank on the protocol side, exactly like a joiner's: every
+   new adjacency runs through the mover, so [join] covers both. *)
+let prop_local_vs_service =
+  qtest "protocol and service agree on join/move streams" ~count:30
+    QCheck2.Gen.(pair (arb_connected ()) (int_bound 9999))
+    (fun (g0, seed) ->
+      let r = Random.State.make [| 0x10CA1; seed |] in
+      let svc = Service.create (Greedy.color g0) in
+      let g = ref g0 and sched = ref (Greedy.color g0) in
+      let ok = ref true in
+      for _ = 1 to 12 do
+        let n = Graph.n !g in
+        let node = if Random.State.bool r then n else Random.State.int r n in
+        let nbrs =
+          List.init (1 + Random.State.int r 3) (fun _ -> Random.State.int r n)
+          |> List.filter (fun w -> w <> node)
+          |> List.sort_uniq compare
+        in
+        let ev =
+          if node = n then Service.Join { node; neighbors = nbrs }
+          else Service.Move { node; neighbors = nbrs }
+        in
+        ignore (Service.apply svc [ ev ]);
+        let kept =
+          List.filter (fun (u, v) -> u <> node && v <> node) (Array.to_list (Graph.edges !g))
+        in
+        let g' = Graph.create ~n:(max n (node + 1)) (List.map (fun w -> (node, w)) nbrs @ kept) in
+        let blank = Schedule.make g' in
+        List.iter
+          (fun (u, v) ->
+            Schedule.set blank (Arc.make g' u v) (Schedule.get !sched (Arc.make !g u v));
+            Schedule.set blank (Arc.make g' v u) (Schedule.get !sched (Arc.make !g v u)))
+          kept;
+        let patched, _ = Local_update.join g' blank ~node in
+        g := g';
+        sched := patched;
+        if
+          not
+            (Graph.edges (Service.graph svc) = Graph.edges g'
+            && Schedule.is_complete patched && Schedule.valid patched
+            && Schedule.valid (Service.schedule svc))
+        then ok := false
+      done;
+      !ok)
+
 let () =
   Alcotest.run "fdlsp_ext"
     [
@@ -424,12 +428,9 @@ let () =
           Alcotest.test_case "frame budget" `Quick test_convergecast_frame_budget;
           Alcotest.test_case "link vs broadcast energy" `Quick test_link_vs_broadcast_energy;
           Alcotest.test_case "slot ordering on a path" `Quick test_slot_ordering_path;
-          Alcotest.test_case "frequency split" `Quick test_frequency_split;
-          Alcotest.test_case "frequency rejects" `Quick test_frequency_rejects;
           prop_valid_schedule_no_collisions;
           prop_convergecast_delivers;
           prop_slot_ordering_never_hurts;
-          prop_frequency_valid;
         ] );
       ( "repair",
         [
@@ -448,5 +449,6 @@ let () =
           Alcotest.test_case "rejects bad targets" `Quick test_local_refresh_rejects;
           prop_local_join_valid;
           prop_local_add_link_valid;
+          prop_local_vs_service;
         ] );
     ]

@@ -431,146 +431,28 @@ let test_churn_service_reconcile () =
   Alcotest.(check bool) "final schedule valid" true
     (Schedule.valid (Service.schedule svc))
 
-(* Randomized churn on the repair layer itself: interleaved node/edge
-   add/remove on UDG and G(n,p); the schedule must validate after every
-   step and ghost ids must stay stable. *)
+(* Randomized single-event churn through the service on UDG and G(n,p):
+   the schedule must validate after every step and ghost ids must stay
+   stable. *)
 let test_repair_random_churn () =
   List.iter
     (fun (gname, g) ->
-      let rng = Random.State.make [| 61 |] in
-      let sched = (Dfs_sched.run g).Dfs_sched.schedule in
-      let state = ref (Repair.of_schedule sched) in
-      let removed = ref [] in
-      for step = 1 to 40 do
-        let n = Repair.nodes !state in
-        let live v = not (List.mem v !removed) in
-        let random_live () =
-          let rec pick tries =
-            if tries = 0 then None
-            else
-              let v = Random.State.int rng n in
-              if live v then Some v else pick (tries - 1)
-          in
-          pick 50
-        in
-        (match Random.State.int rng 4 with
-        | 0 ->
-            (* join: attach to up to 2 live nodes *)
-            let nbrs =
-              List.sort_uniq compare
-                (List.filter_map (fun _ -> random_live ()) [ (); () ])
-            in
-            let next, id, _ = Repair.add_node !state ~neighbors:nbrs in
-            Alcotest.(check int)
-              (Printf.sprintf "%s step %d: fresh id is stable" gname step)
-              n id;
-            state := next
-        | 1 -> (
-            (* failure: ids of everyone else must not shift *)
-            match random_live () with
-            | Some v ->
-                let before = Repair.nodes !state in
-                state := Repair.remove_node !state v;
-                removed := v :: !removed;
-                Alcotest.(check int)
-                  (Printf.sprintf "%s step %d: ghost keeps its slot" gname step)
-                  before (Repair.nodes !state)
-            | None -> ())
-        | 2 -> (
-            match (random_live (), random_live ()) with
-            | Some u, Some v
-              when u <> v && not (Graph.mem_edge (Repair.graph !state) u v) ->
-                let next, _ = Repair.add_edge !state u v in
-                state := next
-            | _ -> ())
-        | _ -> (
-            match random_live () with
-            | Some u ->
-                let nbrs = Graph.neighbors (Repair.graph !state) u in
-                if Array.length nbrs > 0 then
-                  state :=
-                    Repair.remove_edge !state u
-                      nbrs.(Random.State.int rng (Array.length nbrs))
-            | None -> ()));
-        match Schedule.validate (Repair.schedule !state) with
-        | Ok () -> ()
-        | Error v ->
-            Alcotest.failf "%s step %d: invalid after churn: %a" gname step
-              (Schedule.pp_violation (Repair.graph !state))
-              v
-      done)
+      let svc = Service.create ~refine:false (Dfs_sched.run g).Dfs_sched.schedule in
+      try Generators.single_event_churn (Random.State.make [| 61 |]) svc ~steps:40
+      with Failure msg -> Alcotest.failf "%s %s" gname msg)
     [
       ("udg", fst (Gen.udg (Random.State.make [| 71 |]) ~n:20 ~side:4. ~radius:1.2));
       ("gnp", Gen.gnp (Random.State.make [| 72 |]) ~n:20 ~p:0.15);
     ]
 
-(* Satellite: a qcheck property over arbitrary graphs and op streams —
-   any interleaving of the five repair operations (including move_node,
-   which the fixed-seed test above never exercises) must leave the
-   schedule valid after every single step. *)
+(* The same over arbitrary connected graphs and seeds. *)
 let prop_repair_interleavings =
   Generators.qtest "arbitrary repair interleavings keep the schedule valid" ~count:40
     QCheck2.Gen.(pair (Generators.arb_connected ~max_n:12 ()) (int_bound 9999))
     (fun (g, seed) ->
-      let rng = Random.State.make [| 0xC480; seed |] in
-      let state = ref (Repair.of_schedule (Dfs_sched.run g).Dfs_sched.schedule) in
-      let removed = Hashtbl.create 8 in
-      let live v = not (Hashtbl.mem removed v) in
-      let random_live () =
-        let n = Repair.nodes !state in
-        let rec pick tries =
-          if tries = 0 then None
-          else
-            let v = Random.State.int rng n in
-            if live v then Some v else pick (tries - 1)
-        in
-        pick 50
-      in
-      let live_sample ?(avoid = -1) k =
-        List.init k (fun _ -> random_live ())
-        |> List.filter_map Fun.id
-        |> List.filter (fun v -> v <> avoid)
-        |> List.sort_uniq compare
-      in
-      let ok = ref true in
-      for _ = 1 to 25 do
-        (match Random.State.int rng 5 with
-        | 0 ->
-            let next, _, _ = Repair.add_node !state ~neighbors:(live_sample 3) in
-            state := next
-        | 1 -> (
-            match random_live () with
-            | Some v ->
-                state := Repair.remove_node !state v;
-                Hashtbl.replace removed v ()
-            | None -> ())
-        | 2 -> (
-            match (random_live (), random_live ()) with
-            | Some u, Some v
-              when u <> v && not (Graph.mem_edge (Repair.graph !state) u v) ->
-                let next, _ = Repair.add_edge !state u v in
-                state := next
-            | _ -> ())
-        | 3 -> (
-            match random_live () with
-            | Some u ->
-                let nbrs = Graph.neighbors (Repair.graph !state) u in
-                if Array.length nbrs > 0 then
-                  state :=
-                    Repair.remove_edge !state u
-                      nbrs.(Random.State.int rng (Array.length nbrs))
-            | None -> ())
-        | _ -> (
-            match random_live () with
-            | Some u ->
-                let next, _ =
-                  Repair.move_node !state u ~new_neighbors:(live_sample ~avoid:u 3)
-                in
-                state := next
-            | None -> ()));
-        if not (Schedule.valid (Repair.schedule !state)) then ok := false
-      done;
-      !ok)
+      let svc = Service.create ~refine:false (Dfs_sched.run g).Dfs_sched.schedule in
+      Generators.single_event_churn (Random.State.make [| 0xC480; seed |]) svc ~steps:25;
+      true)
 
 let () =
   Alcotest.run "fdlsp_faults"

@@ -36,8 +36,16 @@ let oracle_holds (g, scripts) =
   List.for_all
     (fun hints ->
       let evs = realize_batch svc hints in
+      let n_before = Service.nodes svc in
       let b = Service.apply svc evs in
       let g' = Service.graph svc in
+      (* ids are stable: the id space never shrinks, dead ghosts keep
+         their ids and hold no links *)
+      let ghosts_isolated =
+        List.for_all
+          (fun v -> Service.alive svc v || Graph.degree g' v = 0)
+          (List.init (Service.nodes svc) Fun.id)
+      in
       let ub = Bounds.upper g' in
       let sched = Service.schedule svc in
       let queries_agree =
@@ -56,6 +64,8 @@ let oracle_holds (g, scripts) =
       in
       let oracle = Greedy.color g' in
       Schedule.valid sched
+      && Service.nodes svc >= n_before
+      && ghosts_isolated
       && b.Service.b_slots = Schedule.num_slots sched
       && Service.num_slots svc <= ub
       && queries_agree
