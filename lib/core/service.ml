@@ -2,7 +2,7 @@ open Fdlsp_graph
 open Fdlsp_color
 module Metrics = Fdlsp_sim.Metrics
 module Span = Fdlsp_sim.Span
-module Json = Fdlsp_sim.Trace.Json
+module Json = Fdlsp_sim.Json
 module Name = Metrics.Name
 
 let src = Logs.Src.create "fdlsp.service" ~doc:"long-lived scheduling service"

@@ -2,11 +2,6 @@ type t = { parts : int; part : int array }
 
 let check_parts parts = if parts < 1 then invalid_arg "Partition: parts must be >= 1"
 
-let blocks ~n ~parts =
-  check_parts parts;
-  if n < 0 then invalid_arg "Partition.blocks: n must be >= 0";
-  { parts; part = Array.init n (fun v -> v * parts / n) }
-
 let geometric points ~parts =
   check_parts parts;
   let n = Array.length points in
@@ -84,16 +79,3 @@ let cut_fraction g p =
     Graph.iter_edges g (fun _ u v -> if p.part.(u) <> p.part.(v) then incr cut);
     float_of_int !cut /. float_of_int m
   end
-
-let check g p =
-  if Array.length p.part <> Graph.n g then
-    invalid_arg
-      (Printf.sprintf "Partition.check: %d entries for a %d-node graph"
-         (Array.length p.part) (Graph.n g));
-  Array.iteri
-    (fun v s ->
-      if s < 0 || s >= p.parts then
-        invalid_arg
-          (Printf.sprintf "Partition.check: node %d in shard %d (parts = %d)" v s
-             p.parts))
-    p.part

@@ -2,13 +2,11 @@
 
     A partition assigns every node of an [n]-node graph to one of
     [parts] shards.  Construction is deterministic (same inputs, same
-    partition) because the parallel engine's replay guarantees hang off
-    it.  Shards may be empty ([parts] can exceed [n]); part ids are
-    dense in [0 .. parts-1].
+    partition), so a parallel run's shard layout, cut fraction and
+    per-shard metrics are reproducible.  Shards may be empty ([parts]
+    can exceed [n]); part ids are dense in [0 .. parts-1].
 
-    Three strategies:
-    - {!blocks}: contiguous id ranges — O(n), no graph needed, the
-      fallback when nothing about the topology is known;
+    Two strategies, chosen by {!of_graph}:
     - {!geometric}: equal-count vertical strips of the node positions —
       the natural cut for unit-disk graphs, where edges only join
       points within the radius, so a strip boundary cuts O(strip
@@ -20,11 +18,6 @@ type t = private {
   parts : int;  (** number of shards, >= 1 *)
   part : int array;  (** [part.(v)] is node [v]'s shard, in [0 .. parts-1] *)
 }
-
-val blocks : n:int -> parts:int -> t
-(** Contiguous blocks of node ids, sizes differing by at most one
-    (node [v] lands in shard [v * parts / n]).
-    @raise Invalid_argument if [parts < 1] or [n < 0]. *)
 
 val geometric : Geometry.point array -> parts:int -> t
 (** Sort nodes by [(x, y, id)] and cut the order into [parts]
@@ -50,7 +43,3 @@ val cut_fraction : Graph.t -> t -> float
 (** Fraction of edges whose endpoints live in different shards
     (0 on edgeless graphs).  The cross-shard message traffic a round
     barrier must exchange is proportional to this. *)
-
-val check : Graph.t -> t -> unit
-(** @raise Invalid_argument when the partition's node count differs
-    from the graph's or an entry is outside [0 .. parts-1]. *)

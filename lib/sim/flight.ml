@@ -111,22 +111,22 @@ let load path =
   | [] -> failwith "Flight.load: empty dump"
   | header :: rest ->
       let j =
-        try Trace.Json.parse header
+        try Json.parse header
         with _ -> failwith "Flight.load: malformed header line"
       in
-      (match Trace.Json.member "flight" j with
-      | Some (Trace.Json.Str "fdlsp") -> ()
+      (match Json.member "flight" j with
+      | Some (Json.Str "fdlsp") -> ()
       | _ -> failwith "Flight.load: not a fdlsp flight-recorder dump");
       let str k d =
-        match Trace.Json.member k j with Some (Trace.Json.Str s) -> s | _ -> d
+        match Json.member k j with Some (Json.Str s) -> s | _ -> d
       in
       let num k d =
-        match Trace.Json.member k j with Some (Trace.Json.Num f) -> f | _ -> d
+        match Json.member k j with Some (Json.Num f) -> f | _ -> d
       in
       let d_open =
-        match Trace.Json.member "open" j with
-        | Some (Trace.Json.Arr xs) ->
-            List.filter_map (function Trace.Json.Str s -> Some s | _ -> None) xs
+        match Json.member "open" j with
+        | Some (Json.Arr xs) ->
+            List.filter_map (function Json.Str s -> Some s | _ -> None) xs
         | _ -> []
       in
       let spans = ref [] and trace = ref [] and health = ref [] in

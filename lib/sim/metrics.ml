@@ -598,27 +598,11 @@ let to_kv reg =
     (sorted_entries reg);
   Buffer.contents buf
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let json_labels labels =
   "{"
   ^ String.concat ","
       (List.map
-         (fun (k, v) -> Printf.sprintf {|"%s":"%s"|} (json_escape k) (json_escape v))
+         (fun (k, v) -> Printf.sprintf {|"%s":"%s"|} (Json.escape k) (Json.escape v))
          labels)
   ^ "}"
 
@@ -629,7 +613,7 @@ let to_json reg =
     (fun i ((name, labels), v) ->
       if i > 0 then Buffer.add_char buf ',';
       let head kind =
-        Printf.sprintf {|{"name":"%s","kind":"%s","labels":%s|} (json_escape name) kind
+        Printf.sprintf {|{"name":"%s","kind":"%s","labels":%s|} (Json.escape name) kind
           (json_labels labels)
       in
       (match v with

@@ -1,72 +1,16 @@
 open Fdlsp_graph
 
-(* What a shard computed for one of its nodes this round; consumed by the
-   coordinator's sequential replay (slow path only).  Owner shards rewrite
-   every own slot each round, so no stale entries survive a rotation. *)
-type 'msg slow_step =
-  | Idle  (* not live at round start *)
-  | Crashed_skip  (* inside a crash window: coordinator drops its raw inbox *)
-  | Stepped of { inbox : (int * 'msg) list; outgoing : (int * 'msg) list }
-
-let run ?max_rounds ?(weight = fun _ -> 1) ?faults ?corrupt ?blip ?(trace = Trace.null)
-    ?(metrics = Metrics.null) ?(spans = Span.null) ?partition ?points ~domains g ~init
-    ~step =
+let run ?max_rounds ?(weight = fun _ -> 1) ?(metrics = Metrics.null) ?(spans = Span.null)
+    ?points ~domains g ~init ~step =
   if domains < 1 then invalid_arg "Parallel.run: domains must be >= 1";
   let metrics = Metrics.with_label metrics "engine" "parallel" in
   let mtr = Metrics.enabled metrics in
   let n = Graph.n g in
   let max_rounds = match max_rounds with Some r -> r | None -> 10_000 + (100 * n) in
-  let session =
-    match faults with
-    | Some p when not (Fault.is_none p) -> Some (Fault.start p)
-    | _ -> None
-  in
-  let traced = Trace.enabled trace in
-  let prt =
-    match partition with
-    | Some p ->
-        Partition.check g p;
-        p
-    | None -> Partition.of_graph ?points g ~parts:(max 1 (min domains (max 1 n)))
-  in
+  let prt = Partition.of_graph ?points g ~parts:(max 1 (min domains (max 1 n))) in
   let k = prt.Partition.parts in
   let owner = prt.Partition.part in
   let shard_nodes = Partition.shards prt in
-  (* Whenever ordering is observable — fault verdicts draw from one PRNG in
-     transmission order, trace events form a total order, crashed nodes drop
-     their *raw-order* inboxes — shards only step and the coordinator replays
-     delivery sequentially in Sync's node order.  Otherwise sorted inboxes
-     make each step a function of the message multiset, so shards may route
-     concurrently. *)
-  let replayed = session <> None || traced in
-  let boundaries =
-    if not traced then ref []
-    else
-      match faults with
-      | Some p ->
-          let evs =
-            List.concat_map
-              (fun c ->
-                let crash = (c.Fault.at, Trace.Crash c.Fault.node) in
-                match c.Fault.until with
-                | None -> [ crash ]
-                | Some u -> [ crash; (u, Trace.Recover c.Fault.node) ])
-              (Fault.crashes p)
-          in
-          ref (List.sort Trace.compare_boundary evs)
-      | None -> ref []
-  in
-  let emit_boundaries now =
-    let rec loop () =
-      match !boundaries with
-      | (t, ev) :: rest when t <= now ->
-          Trace.emit trace ~t ev;
-          boundaries := rest;
-          loop ()
-      | _ -> ()
-    in
-    loop ()
-  in
   (* two passes, exactly like Sync.run, so a stateful [init] sees the same
      call sequence on either engine *)
   let states = Array.init n (fun v -> fst (init v)) in
@@ -75,37 +19,16 @@ let run ?max_rounds ?(weight = fun _ -> 1) ?faults ?corrupt ?blip ?(trace = Trac
   Array.iteri
     (fun v alive -> if alive then live_count.(owner.(v)) <- live_count.(owner.(v)) + 1)
     live;
-  let pending_blips = ref (match faults with Some p -> Fault.blips p | None -> []) in
-  let apply_blips now =
-    let rec loop () =
-      match !pending_blips with
-      | b :: rest when b.Fault.b_at <= now ->
-          pending_blips := rest;
-          if b.Fault.b_node < n then begin
-            (match session with Some s -> Fault.count_blip s | None -> ());
-            match blip with
-            | Some f -> states.(b.Fault.b_node) <- f b states.(b.Fault.b_node)
-            | None -> ()
-          end;
-          loop ()
-      | _ -> ()
-    in
-    loop ()
-  in
   let inboxes : (int * 'msg) list array ref = ref (Array.make n []) in
   let next_inboxes : (int * 'msg) list array ref = ref (Array.make n []) in
-  let late_inboxes : (int * 'msg) list array ref = ref (Array.make n []) in
-  (* fast path cross-shard routing: cell (s, s') is written only by shard s
-     (into the [next] buffer) and drained only by shard s' (from the [cur]
+  (* cross-shard routing: cell (s, s') is written only by shard s (into
+     the [next] buffer) and drained only by shard s' (from the [cur]
      buffer after the swap), so no cell is ever touched by two domains in
      the same round *)
   let cur_buckets : (int * int * 'msg) list array array ref =
-    ref (if replayed then [||] else Array.make_matrix k k [])
+    ref (Array.make_matrix k k [])
   in
-  let nxt_buckets = ref (if replayed then [||] else Array.make_matrix k k []) in
-  let computed : 'msg slow_step array =
-    if replayed then Array.make n Idle else [||]
-  in
+  let nxt_buckets = ref (Array.make_matrix k k []) in
   let messages = ref 0 in
   let volume = ref 0 in
   let rounds = ref 0 in
@@ -116,105 +39,16 @@ let run ?max_rounds ?(weight = fun _ -> 1) ?faults ?corrupt ?blip ?(trace = Trac
   let shard_sinks =
     Array.map (function Some (_, sk) -> sk | None -> Metrics.null) shard_forks
   in
-  let shard_spans =
-    Array.init k (fun _ -> if Span.enabled spans then Span.recorder () else Span.null)
-  in
   let measured = mtr || Span.enabled spans in
   let busy = Array.make k 0. in
   let par_total = ref 0. in
-  let any_live () =
-    match session with
-    | None -> Array.exists (fun c -> c > 0) live_count
-    | Some s ->
-        let t = float_of_int (!rounds + 1) in
-        let pending = ref false in
-        Array.iteri
-          (fun v alive -> if alive && not (Fault.dead_forever s v t) then pending := true)
-          live;
-        !pending
-  in
-  let corrupt_payload payload =
-    match corrupt with Some f -> f payload | None -> payload
-  in
-  let deliver ~now v payload (dest : int) =
-    match session with
-    | None -> !next_inboxes.(dest) <- (v, payload) :: !next_inboxes.(dest)
-    | Some s ->
-        let verdict = Fault.transmit s ~src:v ~dst:dest in
-        if traced then begin
-          if verdict.Fault.copies = 0 then
-            Trace.emit trace ~t:now (Trace.Drop { src = v; dst = dest })
-          else if verdict.Fault.copies > 1 then
-            Trace.emit trace ~t:now (Trace.Duplicate { src = v; dst = dest })
-        end;
-        for _ = 1 to verdict.Fault.copies do
-          let payload =
-            if verdict.Fault.corrupted then corrupt_payload payload else payload
-          in
-          let buffer = if verdict.Fault.reordered then late_inboxes else next_inboxes in
-          !buffer.(dest) <- (v, payload) :: !buffer.(dest)
-        done
-  in
-  (* slow path: step own live nodes concurrently, buffer what happened *)
-  let compute_slow s ~now ~round =
-    let inb = !inboxes in
-    let nodes = shard_nodes.(s) in
-    for i = 0 to Array.length nodes - 1 do
-      let v = nodes.(i) in
-      if not live.(v) then computed.(v) <- Idle
-      else
-        match session with
-        | Some ss when Fault.crashed ss v now -> computed.(v) <- Crashed_skip
-        | _ ->
-            let inbox = List.sort compare inb.(v) in
-            let state, outcome = step ~round v states.(v) inbox in
-            states.(v) <- state;
-            let outgoing =
-              match outcome with
-              | Sync.Continue msgs -> msgs
-              | Sync.Halt msgs ->
-                  live.(v) <- false;
-                  live_count.(s) <- live_count.(s) - 1;
-                  msgs
-            in
-            computed.(v) <- Stepped { inbox; outgoing }
-    done
-  in
-  (* coordinator's sequential tail of a slow-path round: delivery, fault
-     verdicts, traces and loss accounting in exactly Sync.run's order *)
-  let replay now =
-    for v = 0 to n - 1 do
-      match computed.(v) with
-      | Idle -> ()
-      | Crashed_skip ->
-          let s = match session with Some s -> s | None -> assert false in
-          List.iter
-            (fun (src, _) ->
-              Fault.count_drop s;
-              if traced then Trace.emit trace ~t:now (Trace.Drop { src; dst = v }))
-            !inboxes.(v)
-      | Stepped { inbox; outgoing } ->
-          if mtr then
-            Metrics.observe metrics Metrics.Name.inbox_depth
-              (float_of_int (List.length inbox));
-          if traced then
-            List.iter
-              (fun (src, _) -> Trace.emit trace ~t:now (Trace.Recv { src; dst = v }))
-              inbox;
-          List.iter
-            (fun (dest, payload) ->
-              if not (Graph.mem_edge g v dest) then
-                invalid_arg
-                  (Printf.sprintf "Parallel.run: node %d sent to non-neighbor %d" v dest);
-              incr messages;
-              volume := !volume + max 1 (weight payload);
-              if traced then Trace.emit trace ~t:now (Trace.Send { src = v; dst = dest });
-              deliver ~now v payload dest)
-            outgoing
-    done
-  in
-  (* fast path: drain cross-shard arrivals, step, route — all shard-local *)
-  let compute_fast s ~round =
+  let any_live () = Array.exists (fun c -> c > 0) live_count in
+  (* drain cross-shard arrivals, step, route — all shard-local.  Inboxes
+     are fixed at the round barrier and sorted before delivery, so each
+     step is a function of the message multiset and shards never need to
+     agree on an order *)
+  let compute s =
+    let round = !rounds in
     let inb = !inboxes in
     let nxt = !next_inboxes in
     let cur_b = !cur_buckets in
@@ -270,15 +104,6 @@ let run ?max_rounds ?(weight = fun _ -> 1) ?faults ?corrupt ?blip ?(trace = Trac
     done;
     shard_msgs.(s) <- !ms;
     shard_vol.(s) <- !vol
-  in
-  let compute s =
-    let round = !rounds in
-    let body () =
-      if replayed then compute_slow s ~now:(float_of_int round) ~round
-      else compute_fast s ~round
-    in
-    if Span.enabled shard_spans.(s) then Span.span shard_spans.(s) "shard.round" body
-    else body ()
   in
   let compute_guarded s =
     try
@@ -353,13 +178,6 @@ let run ?max_rounds ?(weight = fun _ -> 1) ?faults ?corrupt ?blip ?(trace = Trac
   in
   let do_round () =
     incr rounds;
-    let now = float_of_int !rounds in
-    if traced then begin
-      Trace.emit trace ~t:now (Trace.Round_start !rounds);
-      emit_boundaries now
-    end;
-    apply_blips now;
-    let msgs_at_round_start = !messages in
     if measured then begin
       let t0 = Clock.now () in
       Span.span spans "parallel.compute" parallel_section;
@@ -370,31 +188,23 @@ let run ?max_rounds ?(weight = fun _ -> 1) ?faults ?corrupt ?blip ?(trace = Trac
        surfaced failure does not depend on domain scheduling *)
     Array.iter (function Some e -> raise e | None -> ()) shard_exn;
     Span.span spans "parallel.exchange" (fun () ->
-        if replayed then replay now
-        else begin
-          let dm = ref 0 and dv = ref 0 in
-          for s = 0 to k - 1 do
-            dm := !dm + shard_msgs.(s);
-            dv := !dv + shard_vol.(s)
-          done;
-          messages := !messages + !dm;
-          volume := !volume + !dv
-        end;
+        let dm = ref 0 and dv = ref 0 in
+        for s = 0 to k - 1 do
+          dm := !dm + shard_msgs.(s);
+          dv := !dv + shard_vol.(s)
+        done;
+        messages := !messages + !dm;
+        volume := !volume + !dv;
         if mtr then
-          Metrics.sample metrics Metrics.Name.round_messages ~x:now
-            (float_of_int (!messages - msgs_at_round_start));
-        if traced then Trace.emit trace ~t:now (Trace.Round_end !rounds);
+          Metrics.sample metrics Metrics.Name.round_messages
+            ~x:(float_of_int !rounds) (float_of_int !dm);
+        (* shards already cleared their own slots *)
         let consumed = !inboxes in
         inboxes := !next_inboxes;
-        next_inboxes := !late_inboxes;
-        (* fast path shards already cleared their own slots *)
-        if replayed then Array.fill consumed 0 n [];
-        late_inboxes := consumed;
-        if not replayed then begin
-          let cb = !cur_buckets in
-          cur_buckets := !nxt_buckets;
-          nxt_buckets := cb
-        end)
+        next_inboxes := consumed;
+        let cb = !cur_buckets in
+        cur_buckets := !nxt_buckets;
+        nxt_buckets := cb)
   in
   Fun.protect ~finally:stop_workers (fun () ->
       Span.span spans "parallel.run" (fun () ->
@@ -420,47 +230,38 @@ let run ?max_rounds ?(weight = fun _ -> 1) ?faults ?corrupt ?blip ?(trace = Trac
   end;
   if Span.enabled spans then
     Array.iteri
-      (fun s r ->
+      (fun s nodes ->
         Span.mark spans "parallel.shard-summary"
           ~args:
             [
               ("shard", string_of_int s);
-              ("nodes", string_of_int (Array.length shard_nodes.(s)));
+              ("nodes", string_of_int (Array.length nodes));
               ("busy_s", Printf.sprintf "%.6f" busy.(s));
-              ("spans", string_of_int (Span.seen r));
             ])
-      shard_spans;
-  let dropped, duplicated, corruptions =
-    match session with
-    | None -> (0, 0, 0)
-    | Some s -> (Fault.dropped s, Fault.duplicated s, Fault.corruptions s)
-  in
-  let stats =
-    Stats.make ~rounds:!rounds ~messages:!messages ~volume:!volume ~dropped ~duplicated
-      ~corruptions ()
-  in
+      shard_nodes;
+  let stats = Stats.make ~rounds:!rounds ~messages:!messages ~volume:!volume () in
   Metrics.add_stats metrics stats;
   (states, stats)
 
 let runner ?(faults = Fault.none) ?config ?(trace = Trace.null) ?(spans = Span.null)
     ?points ?(threshold = 2048) ~domains () =
   if domains < 1 then invalid_arg "Parallel.runner: domains must be >= 1";
-  if not (Fault.is_none faults || Fault.lossless faults) then
-    (* lossy channels need the ARQ synchronizer, which retransmits on
-       physical-time order: inherently sequential — delegate unchanged *)
-    Reliable.runner ~faults ?config ~trace ~spans ()
+  let sequential = Reliable.runner ~faults ?config ~trace ~spans () in
+  if (not (Fault.is_none faults)) || Trace.enabled trace then
+    (* fault verdicts, crash drops and trace events are all ordered by
+       transmission, so faulty and traced runs take the sequential engine:
+       raw Sync over a clean channel (blips at most), the ARQ layer over a
+       lossy or crashing one *)
+    sequential
   else
     {
       Reliable.run =
         (fun ?max_rounds ?weight ?blip ?metrics g ~init ~step ->
-          if domains = 1 || Graph.n g < threshold then
+          if domains > 1 && Graph.n g >= threshold then
+            run ?max_rounds ?weight ~spans ?metrics ?points ~domains g ~init ~step
+          else
             (* bit-identical engines, so the small-graph fallback (domain
                spawns cost more than the whole run) is unobservable *)
-            (Reliable.runner ~faults ?config ~trace ~spans ()).Reliable.run ?max_rounds
-              ?weight ?blip ?metrics g ~init ~step
-          else
-            let faults = if Fault.is_none faults then None else Some faults in
-            run ?max_rounds ?weight ?faults ?blip ~trace ~spans ?metrics ?points
-              ~domains g ~init ~step);
+            sequential.Reliable.run ?max_rounds ?weight ?blip ?metrics g ~init ~step);
       faulty = false;
     }

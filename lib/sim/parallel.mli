@@ -1,64 +1,52 @@
 (** Domain-parallel synchronous engine — {!Sync} sharded across OCaml 5
-    domains, bit-identical to the sequential engine.
+    domains, bit-identical to the sequential engine on fault-free,
+    untraced runs.
 
-    The graph is partitioned into [domains] shards ({!Fdlsp_graph.Partition});
-    each shard's nodes are stepped by a dedicated domain, and cross-shard
-    messages are exchanged in deterministically ordered batches at round
-    barriers.  Identity with {!Sync.run} is exact — same final states,
-    same {!Stats.t}, same trace event stream — via two regimes:
+    The graph is partitioned into [domains] shards
+    ({!Fdlsp_graph.Partition.of_graph}); each shard's nodes are stepped
+    by a dedicated domain, and cross-shard messages are exchanged at
+    round barriers.  A round's inboxes are fixed at the barrier and
+    every inbox is sorted before delivery, so the message {e multiset}
+    determines each step: shards step their own nodes concurrently,
+    route same-shard messages directly and cross-shard messages through
+    per-(source, destination)-shard buckets drained by the owner after
+    the next barrier.  Message and volume counters are summed per shard
+    — integer sums, so stats are exact.
 
-    - {b fast path} (no fault session, no trace): a round's inboxes are
-      fixed at the round barrier and every inbox is sorted before
-      delivery, so the message {e multiset} determines each step.
-      Shards step their own nodes concurrently, route same-shard
-      messages directly and cross-shard messages through per-(source,
-      destination)-shard buckets drained by the owner after the next
-      barrier.  Message and volume counters are summed per shard —
-      integer sums, so stats are exact.
-    - {b sequential replay} (fault plan or tracing active): {!Fault}
-      verdicts draw from one PRNG in transmission order and crashed
-      nodes drop their {e raw-order} inboxes, so ordering is
-      observable.  Shards still step concurrently (the expensive part),
-      but buffer their outgoing batches; at the barrier the coordinator
-      replays delivery — fault verdicts, trace emission, inbox
-      construction, loss accounting — in exactly {!Sync.run}'s node
-      order, yielding a byte-identical execution.
+    Fault verdicts draw from one PRNG in transmission order, crashed
+    nodes drop their {e raw-order} inboxes, and trace events form a
+    total order, so faulty and traced runs are inherently sequential:
+    {!runner} sends them to {!Reliable.runner}.
 
     Each shard gets a private {!Metrics} registry (via {!Metrics.fork})
     merged into the caller's at the terminal barrier with the exact-
-    count merge, and a private {!Span} recorder; the caller's span sink
-    sees ["parallel.round"] with ["parallel.compute"] /
-    ["parallel.exchange"] children, so [fdlsp profile] shows the
-    barrier/compute split directly. *)
+    count merge; the caller's span sink sees ["parallel.round"] with
+    ["parallel.compute"] / ["parallel.exchange"] children and one
+    ["parallel.shard-summary"] mark per shard, so [fdlsp profile] shows
+    the barrier/compute split directly. *)
 
 open Fdlsp_graph
 
 val run :
   ?max_rounds:int ->
   ?weight:('msg -> int) ->
-  ?faults:Fault.plan ->
-  ?corrupt:('msg -> 'msg) ->
-  ?blip:(Fault.blip -> 'state -> 'state) ->
-  ?trace:Trace.sink ->
   ?metrics:Metrics.sink ->
   ?spans:Span.sink ->
-  ?partition:Partition.t ->
   ?points:Geometry.point array ->
   domains:int ->
   Graph.t ->
   init:(int -> 'state * bool) ->
   step:('state, 'msg) Sync.step ->
   'state array * Stats.t
-(** Drop-in replacement for {!Sync.run} (same defaults, same
-    [Sync.Did_not_terminate], same non-neighbor send rejection), plus:
+(** Drop-in replacement for a fault-free, untraced {!Sync.run} (same
+    defaults, same [Sync.Did_not_terminate], same non-neighbor send
+    rejection), plus:
 
     [domains] is the target shard count, clamped to [1 .. n].  With
     [domains = 1] no worker domains are spawned; the engine still runs
     its barrier loop on the calling domain.
 
-    [partition] overrides the node partition (its [parts] then decides
-    the domain count); it must satisfy {!Partition.check}.  Otherwise
-    the engine partitions with {!Partition.of_graph} — geometric strips
+    The engine partitions with {!Partition.of_graph} — geometric strips
     when [points] match the graph, BFS regions otherwise.
 
     The protocol callbacks must tolerate concurrency across {e
@@ -92,15 +80,16 @@ val runner :
   Reliable.sync_runner
 (** A {!Reliable.sync_runner} that routes engine runs through {!run} —
     the parallel analogue of {!Reliable.runner}, accepted anywhere an
-    [?engine] is (e.g. [Dist_mis.run]).
+    [?engine] is (e.g. [Dist_mis.run]).  It is the single place that
+    picks the engine:
 
-    Graphs smaller than [threshold] nodes (default 2048) run on the
-    sequential engine instead: spawning domains costs more than
-    stepping a small graph, and the two engines are bit-identical, so
-    the switch is unobservable in results.  Pass [~threshold:0] to
-    force the parallel machinery always (the determinism property does).
-
-    Lossy fault plans delegate to {!Reliable.runner}'s ARQ synchronizer
-    unchanged (sequential; [faulty = true]): retransmission timers are
-    inherently transmission-order-coupled.  Fault-free and
-    lossless (blips-only) plans run parallel with [faulty = false]. *)
+    - a fault plan other than {!Fault.none}, or an enabled [trace],
+      returns [Reliable.runner ~faults ?config ~trace ~spans ()]
+      unchanged — raw {!Sync} for blip-only plans, the ARQ synchronizer
+      ([faulty = true]) for lossy or crashing ones;
+    - otherwise runs take {!run} when [domains > 1] and the graph has at
+      least [threshold] nodes (default 2048), and the sequential engine
+      in every other case: spawning domains costs more than stepping a
+      small graph, and the two engines are bit-identical, so the switch
+      is unobservable in results.  Pass [~threshold:0] to force the
+      parallel machinery always (the determinism property does). *)

@@ -182,22 +182,6 @@ let check_nesting ?(require_closed = false) es =
 (* Exports                                                             *)
 (* ------------------------------------------------------------------ *)
 
-let escape s =
-  let buf = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let base_time es = if Array.length es = 0 then 0. else entry_time es.(0)
 
 (* microseconds since the first entry, the unit Chrome's [ts] expects *)
@@ -217,23 +201,24 @@ let to_chrome ?(pid = 1) es =
           Buffer.add_string buf
             (Printf.sprintf
                {|{"name":"%s","ph":"B","ts":%.3f,"pid":%d,"tid":1,"args":{"id":%d,"parent":%d}}|}
-               (escape b.name) (usec ~t0 b.t) pid b.id b.parent)
+               (Json.escape b.name) (usec ~t0 b.t) pid b.id b.parent)
       | End_ e ->
           Buffer.add_string buf
             (Printf.sprintf
                {|{"name":"%s","ph":"E","ts":%.3f,"pid":%d,"tid":1,"args":{"id":%d,"alloc_words":%d,"major_collections":%d}}|}
-               (escape e.name) (usec ~t0 e.t) pid e.id e.alloc_words e.majors)
+               (Json.escape e.name) (usec ~t0 e.t) pid e.id e.alloc_words e.majors)
       | Mark m ->
           let args =
             String.concat ","
               (List.map
-                 (fun (k, v) -> Printf.sprintf {|"%s":"%s"|} (escape k) (escape v))
+                 (fun (k, v) ->
+                   Printf.sprintf {|"%s":"%s"|} (Json.escape k) (Json.escape v))
                  m.args)
           in
           Buffer.add_string buf
             (Printf.sprintf
                {|{"name":"%s","ph":"i","ts":%.3f,"pid":%d,"tid":1,"s":"t","args":{%s}}|}
-               (escape m.name) (usec ~t0 m.t) pid args)))
+               (Json.escape m.name) (usec ~t0 m.t) pid args)))
     es;
   Buffer.add_string buf "]}";
   Buffer.contents buf
@@ -288,31 +273,31 @@ let to_folded es =
 let entry_to_json = function
   | Begin b ->
       Printf.sprintf {|{"sp":"b","id":%d,"parent":%d,"name":"%s","t":%.9f}|} b.id
-        b.parent (escape b.name) b.t
+        b.parent (Json.escape b.name) b.t
   | End_ e ->
       Printf.sprintf {|{"sp":"e","id":%d,"name":"%s","t":%.9f,"alloc":%d,"majors":%d}|}
-        e.id (escape e.name) e.t e.alloc_words e.majors
+        e.id (Json.escape e.name) e.t e.alloc_words e.majors
   | Mark m ->
       let args =
         String.concat ","
           (List.map
-             (fun (k, v) -> Printf.sprintf {|"%s":"%s"|} (escape k) (escape v))
+             (fun (k, v) -> Printf.sprintf {|"%s":"%s"|} (Json.escape k) (Json.escape v))
              m.args)
       in
-      Printf.sprintf {|{"sp":"m","name":"%s","t":%.9f,"args":{%s}}|} (escape m.name)
+      Printf.sprintf {|{"sp":"m","name":"%s","t":%.9f,"args":{%s}}|} (Json.escape m.name)
         m.t args
 
 let entry_of_json line =
   let fail fmt = Printf.ksprintf failwith fmt in
-  let j = Trace.Json.parse line in
+  let j = Json.parse line in
   let str k =
-    match Trace.Json.member k j with
-    | Some (Trace.Json.Str s) -> s
+    match Json.member k j with
+    | Some (Json.Str s) -> s
     | _ -> fail "Span.entry_of_json: missing string field %S" k
   in
   let num k =
-    match Trace.Json.member k j with
-    | Some (Trace.Json.Num f) -> f
+    match Json.member k j with
+    | Some (Json.Num f) -> f
     | _ -> fail "Span.entry_of_json: missing numeric field %S" k
   in
   let int k = int_of_float (num k) in
@@ -329,11 +314,11 @@ let entry_of_json line =
         }
   | "m" ->
       let args =
-        match Trace.Json.member "args" j with
-        | Some (Trace.Json.Obj kvs) ->
+        match Json.member "args" j with
+        | Some (Json.Obj kvs) ->
             List.map
               (function
-                | k, Trace.Json.Str v -> (k, v)
+                | k, Json.Str v -> (k, v)
                 | k, _ -> fail "Span.entry_of_json: arg %S is not a string" k)
               kvs
         | _ -> []

@@ -66,23 +66,6 @@ let enabled = function Null -> false | _ -> true
 (* JSON encoding                                                      *)
 (* ------------------------------------------------------------------ *)
 
-let escape_string s =
-  let buf = Buffer.create (String.length s + 2) in
-  Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.add_char buf '"';
-  Buffer.contents buf
-
 (* Times are round numbers or sums of link delays: %g keeps integers
    unadorned (1 not 1.000000) while preserving fractional delays. *)
 let json_float t = Printf.sprintf "%g" t
@@ -105,8 +88,8 @@ let event_to_json { t; ev } =
   | Crash v -> node "crash" v
   | Recover v -> node "recover" v
   | Phase { label; scale } ->
-      Printf.sprintf {|{"ev":"phase","t":%s,"label":%s,"scale":%d}|} time
-        (escape_string label) scale
+      Printf.sprintf {|{"ev":"phase","t":%s,"label":"%s","scale":%d}|} time
+        (Json.escape label) scale
   | Mis_join v -> node "mis_join" v
   | Color { node; arc; slot } ->
       Printf.sprintf {|{"ev":"color","t":%s,"node":%d,"arc":%d,"slot":%d}|} time node arc
@@ -173,183 +156,6 @@ let overwritten = function
   | Null | Channel _ -> 0
   | Memory b -> max 0 (b.count - b.capacity)
 
-(* ------------------------------------------------------------------ *)
-(* JSON parsing                                                       *)
-(* ------------------------------------------------------------------ *)
-
-module Json = struct
-  type t =
-    | Null
-    | Bool of bool
-    | Num of float
-    | Str of string
-    | Arr of t list
-    | Obj of (string * t) list
-
-  let parse s =
-    let n = String.length s in
-    let pos = ref 0 in
-    let fail msg = failwith (Printf.sprintf "Trace.Json: %s at offset %d" msg !pos) in
-    let peek () = if !pos < n then Some s.[!pos] else None in
-    let advance () = incr pos in
-    let skip_ws () =
-      while !pos < n && (match s.[!pos] with ' ' | '\t' | '\n' | '\r' -> true | _ -> false)
-      do
-        advance ()
-      done
-    in
-    let expect c =
-      match peek () with
-      | Some c' when c' = c -> advance ()
-      | _ -> fail (Printf.sprintf "expected '%c'" c)
-    in
-    let literal word value =
-      let len = String.length word in
-      if !pos + len <= n && String.sub s !pos len = word then begin
-        pos := !pos + len;
-        value
-      end
-      else fail (Printf.sprintf "expected %s" word)
-    in
-    let parse_string () =
-      expect '"';
-      let buf = Buffer.create 16 in
-      let rec loop () =
-        if !pos >= n then fail "unterminated string";
-        match s.[!pos] with
-        | '"' -> advance ()
-        | '\\' ->
-            advance ();
-            (if !pos >= n then fail "unterminated escape";
-             match s.[!pos] with
-             | '"' -> Buffer.add_char buf '"'; advance ()
-             | '\\' -> Buffer.add_char buf '\\'; advance ()
-             | '/' -> Buffer.add_char buf '/'; advance ()
-             | 'n' -> Buffer.add_char buf '\n'; advance ()
-             | 'r' -> Buffer.add_char buf '\r'; advance ()
-             | 't' -> Buffer.add_char buf '\t'; advance ()
-             | 'b' -> Buffer.add_char buf '\b'; advance ()
-             | 'f' -> Buffer.add_char buf '\012'; advance ()
-             | 'u' ->
-                 advance ();
-                 if !pos + 4 > n then fail "truncated \\u escape";
-                 let hex = String.sub s !pos 4 in
-                 let code =
-                   try int_of_string ("0x" ^ hex) with _ -> fail "bad \\u escape"
-                 in
-                 pos := !pos + 4;
-                 (* trace strings are ASCII; encode BMP as UTF-8 for safety *)
-                 if code < 0x80 then Buffer.add_char buf (Char.chr code)
-                 else if code < 0x800 then begin
-                   Buffer.add_char buf (Char.chr (0xC0 lor (code lsr 6)));
-                   Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
-                 end
-                 else begin
-                   Buffer.add_char buf (Char.chr (0xE0 lor (code lsr 12)));
-                   Buffer.add_char buf (Char.chr (0x80 lor ((code lsr 6) land 0x3F)));
-                   Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
-                 end
-             | c -> fail (Printf.sprintf "bad escape '\\%c'" c));
-            loop ()
-        | c ->
-            Buffer.add_char buf c;
-            advance ();
-            loop ()
-      in
-      loop ();
-      Buffer.contents buf
-    in
-    let parse_number () =
-      let start = !pos in
-      if peek () = Some '-' then advance ();
-      let digits () =
-        while !pos < n && (match s.[!pos] with '0' .. '9' -> true | _ -> false) do
-          advance ()
-        done
-      in
-      digits ();
-      if peek () = Some '.' then begin
-        advance ();
-        digits ()
-      end;
-      (match peek () with
-      | Some ('e' | 'E') ->
-          advance ();
-          (match peek () with Some ('+' | '-') -> advance () | _ -> ());
-          digits ()
-      | _ -> ());
-      if !pos = start then fail "expected a number";
-      match float_of_string_opt (String.sub s start (!pos - start)) with
-      | Some f -> f
-      | None -> fail "malformed number"
-    in
-    let rec parse_value () =
-      skip_ws ();
-      match peek () with
-      | None -> fail "unexpected end of input"
-      | Some '"' -> Str (parse_string ())
-      | Some '[' ->
-          advance ();
-          skip_ws ();
-          if peek () = Some ']' then begin
-            advance ();
-            Arr []
-          end
-          else begin
-            let rec elems acc =
-              let value = parse_value () in
-              skip_ws ();
-              match peek () with
-              | Some ',' ->
-                  advance ();
-                  elems (value :: acc)
-              | Some ']' ->
-                  advance ();
-                  List.rev (value :: acc)
-              | _ -> fail "expected ',' or ']'"
-            in
-            Arr (elems [])
-          end
-      | Some '{' ->
-          advance ();
-          skip_ws ();
-          if peek () = Some '}' then begin
-            advance ();
-            Obj []
-          end
-          else begin
-            let rec members acc =
-              skip_ws ();
-              let key = parse_string () in
-              skip_ws ();
-              expect ':';
-              let value = parse_value () in
-              skip_ws ();
-              match peek () with
-              | Some ',' ->
-                  advance ();
-                  members ((key, value) :: acc)
-              | Some '}' ->
-                  advance ();
-                  List.rev ((key, value) :: acc)
-              | _ -> fail "expected ',' or '}'"
-            in
-            Obj (members [])
-          end
-      | Some 't' -> literal "true" (Bool true)
-      | Some 'f' -> literal "false" (Bool false)
-      | Some 'n' -> literal "null" Null
-      | Some _ -> Num (parse_number ())
-    in
-    let v = parse_value () in
-    skip_ws ();
-    if !pos <> n then fail "trailing garbage";
-    v
-
-  let member key = function
-    | Obj fields -> List.assoc_opt key fields
-    | _ -> None
-end
 
 let json_int name j =
   match Json.member name j with
@@ -410,7 +216,8 @@ type writer = { w_oc : out_channel; w_sink : sink; owns : bool }
 let write_header oc meta =
   let meta_json =
     meta
-    |> List.map (fun (k, v) -> Printf.sprintf "%s:%s" (escape_string k) (escape_string v))
+    |> List.map (fun (k, v) ->
+           Printf.sprintf {|"%s":"%s"|} (Json.escape k) (Json.escape v))
     |> String.concat ","
   in
   Printf.fprintf oc {|{"trace":"fdlsp","version":1,"meta":{%s}}|} meta_json;
@@ -760,8 +567,8 @@ module Summary = struct
 
   let phase_to_json p =
     Printf.sprintf
-      {|{"label":%s,"scale":%d,"rounds":%d,"sends":%d,"recvs":%d,"drops":%d,"duplicates":%d,"retransmits":%d,"gave_up":%d,"crashes":%d,"recoveries":%d,"mis_joins":%d,"colors":%d,"corruptions":%d,"detects":%d,"recolors":%d,"beacon_losses":%d,"desyncs":%d,"resyncs":%d,"joins":%d,"sleeps":%d}|}
-      (escape_string p.label) p.scale p.rounds p.sends p.recvs p.drops p.duplicates
+      {|{"label":"%s","scale":%d,"rounds":%d,"sends":%d,"recvs":%d,"drops":%d,"duplicates":%d,"retransmits":%d,"gave_up":%d,"crashes":%d,"recoveries":%d,"mis_joins":%d,"colors":%d,"corruptions":%d,"detects":%d,"recolors":%d,"beacon_losses":%d,"desyncs":%d,"resyncs":%d,"joins":%d,"sleeps":%d}|}
+      (Json.escape p.label) p.scale p.rounds p.sends p.recvs p.drops p.duplicates
       p.retransmits p.gave_ups p.crashes p.recoveries p.mis_joins p.colors p.corruptions
       p.detects p.recolors p.beacon_losses p.desyncs p.resyncs p.joins p.sleeps
 

@@ -119,27 +119,6 @@ val event_to_json : timed -> string
 val event_of_json : string -> timed
 (** Raises [Failure] on malformed input or an unknown event shape. *)
 
-(** Minimal strict JSON reader used by the trace format and the metrics
-    exports (objects, arrays, strings, numbers, booleans, null).
-    Exposed so tests and tools can parse the repository's JSON output —
-    including {!Metrics.to_json} documents — without an external
-    dependency. *)
-module Json : sig
-  type t =
-    | Null
-    | Bool of bool
-    | Num of float
-    | Str of string
-    | Arr of t list
-    | Obj of (string * t) list
-
-  val parse : string -> t
-  (** Parses exactly one value (trailing whitespace allowed); raises
-      [Failure] with a position on malformed input. *)
-
-  val member : string -> t -> t option
-end
-
 (** {2 Trace files}
 
     A trace file is JSONL: a header line

@@ -351,14 +351,14 @@ let test_report_printers () =
     (String.length line > 0
     && String.sub line 0 9 = "frames=4 ");
   let json = Frame.report_to_json r in
-  let j = Trace.Json.parse json in
-  (match Trace.Json.member "delivered" j with
-  | Some (Trace.Json.Num d) ->
+  let j = Json.parse json in
+  (match Json.member "delivered" j with
+  | Some (Json.Num d) ->
       Alcotest.(check int) "json delivered" r.Frame.r_delivered
         (int_of_float d)
   | _ -> Alcotest.fail "no delivered field");
-  match Trace.Json.member "sleep_fraction" j with
-  | Some (Trace.Json.Num s) ->
+  match Json.member "sleep_fraction" j with
+  | Some (Json.Num s) ->
       Alcotest.(check bool) "json sleep" true
         (Float.abs (s -. r.Frame.r_sleep_fraction) < 1e-6)
   | _ -> Alcotest.fail "no sleep_fraction field"

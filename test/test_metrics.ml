@@ -217,16 +217,16 @@ let sum_text_counters text name =
        0
 
 let sum_json_counters json name =
-  match Trace.Json.member "metrics" (Trace.Json.parse json) with
-  | Some (Trace.Json.Arr ms) ->
+  match Json.member "metrics" (Json.parse json) with
+  | Some (Json.Arr ms) ->
       List.fold_left
         (fun acc m ->
           match
-            (Trace.Json.member "name" m, Trace.Json.member "kind" m,
-             Trace.Json.member "value" m)
+            (Json.member "name" m, Json.member "kind" m,
+             Json.member "value" m)
           with
-          | Some (Trace.Json.Str n), Some (Trace.Json.Str "counter"),
-            Some (Trace.Json.Num v)
+          | Some (Json.Str n), Some (Json.Str "counter"),
+            Some (Json.Num v)
             when n = name ->
               acc + int_of_float v
           | _ -> acc)
@@ -256,7 +256,7 @@ let test_formats_agree () =
       (Metrics.Name.volume, r.Dist_mis.stats.Stats.volume);
       (Metrics.Name.dropped, r.Dist_mis.stats.Stats.dropped);
     ];
-  Alcotest.(check bool) "json parses" true (Trace.Json.parse json <> Trace.Json.Null);
+  Alcotest.(check bool) "json parses" true (Json.parse json <> Json.Null);
   let type_lines =
     String.split_on_char '\n' prom
     |> List.filter (fun l -> l = Printf.sprintf "# TYPE %s counter" Metrics.Name.messages)

@@ -1,8 +1,8 @@
 (* The domain-parallel engine's whole contract is bit-identity with the
-   sequential engine: same final states, same stats, same trace event
-   stream, for every shard count, graph family, and fault plan.  These
-   properties are the oracle the fast path (multiset routing) and the
-   slow path (coordinator replay) are both held to. *)
+   sequential engine on fault-free, untraced runs: same final states and
+   stats for every shard count and graph family.  Faulty and traced runs
+   are the runner's job to route to the sequential engine; the routing
+   property holds it to giving exactly what Reliable.runner gives. *)
 
 open Fdlsp_graph
 open Fdlsp_color
@@ -14,13 +14,6 @@ let qtest name ?(count = 40) arb prop = Generators.qtest name ~count arb prop
 (* --- partitions ----------------------------------------------------- *)
 
 let ring n = Graph.create ~n (List.init n (fun i -> (i, (i + 1) mod n)))
-
-let test_partition_blocks () =
-  let p = Partition.blocks ~n:10 ~parts:3 in
-  Alcotest.(check (list (list int)))
-    "blocks are contiguous, sizes within one"
-    [ [ 0; 1; 2; 3 ]; [ 4; 5; 6 ]; [ 7; 8; 9 ] ]
-    (Array.to_list (Array.map Array.to_list (Partition.shards p)))
 
 let test_partition_bfs_path () =
   (* on a path, quota-bounded BFS growth from the smallest unassigned
@@ -50,14 +43,15 @@ let prop_partition_well_formed =
       List.for_all
         (fun parts ->
           let p = Partition.of_graph g ~parts in
-          Partition.check g p;
           let sh = Partition.shards p in
           let total = Array.fold_left (fun acc s -> acc + Array.length s) 0 sh in
           let ascending s =
             Array.for_all Fun.id (Array.mapi (fun i v -> i = 0 || s.(i - 1) < v) s)
           in
           let cf = Partition.cut_fraction g p in
-          total = Graph.n g
+          Array.length p.Partition.part = Graph.n g
+          && Array.for_all (fun s -> s >= 0 && s < parts) p.Partition.part
+          && total = Graph.n g
           && Array.for_all ascending sh
           && cf >= 0. && cf <= 1.
           && p.Partition.part = (Partition.of_graph g ~parts).Partition.part)
@@ -84,76 +78,84 @@ let gossip g =
   in
   (init, step)
 
-let blip_hook b (best, r) = ((best + b.Fault.b_node) mod 97, r)
-let corrupt_hook p = p + 1000
-
-let crash_plan g =
-  let n = Graph.n g in
-  Fault.make ~seed:7
-    ~crashes:
-      [
-        { Fault.node = 0; at = 2.; until = Some 4. };
-        { Fault.node = n - 1; at = 3.; until = None };
-      ]
-    ~blips:(Fault.scatter_blips ~seed:3 ~n ~count:3 ~horizon:5 ())
-    ()
-
-let lossy_plan = Fault.uniform ~seed:5 ~duplicate:0.2 ~reorder:0.2 ~corrupt:0.1 0.25
-
-(* scenarios: fast path (clean, untraced), slow path via tracing alone,
-   slow path via a crash+blip session with traces, slow path via a lossy
-   session without traces *)
-let scenarios g =
-  [ (None, false); (None, true); (Some (crash_plan g), true); (Some lossy_plan, false) ]
-
-let run_engine ?domains ?faults ~traced g =
-  let trace = if traced then Trace.memory () else Trace.null in
-  let init, step = gossip g in
-  let states, stats =
-    match domains with
-    | None -> Sync.run ?faults ~corrupt:corrupt_hook ~blip:blip_hook ~trace g ~init ~step
-    | Some k ->
-        Parallel.run ?faults ~corrupt:corrupt_hook ~blip:blip_hook ~trace ~domains:k g
-          ~init ~step
-  in
-  (states, stats, Trace.events trace)
-
 let prop_identical name arb =
   qtest ("Parallel(k) is bit-identical to Sync on " ^ name) ~count:10 arb (fun g ->
+      let init, step = gossip g in
+      let reference = Sync.run g ~init ~step in
       List.for_all
-        (fun (faults, traced) ->
-          let reference = run_engine ?faults ~traced g in
-          List.for_all
-            (fun k -> run_engine ~domains:k ?faults ~traced g = reference)
-            [ 1; 2; 4; 7 ])
-        (scenarios g))
+        (fun k -> Parallel.run ~domains:k g ~init ~step = reference)
+        [ 1; 2; 4; 7 ])
 
 let prop_gnp = prop_identical "gnp" (Generators.arb_gnp ~min_n:2 ~max_n:20 ())
 let prop_udg = prop_identical "udg" (Generators.arb_udg ())
 let prop_tree = prop_identical "trees" (Generators.arb_tree ~min_n:2 ~max_n:30 ())
 let prop_connected = prop_identical "connected" (Generators.arb_connected ~max_n:20 ())
 
-let test_explicit_partition () =
-  (* an explicit (deliberately lopsided) partition must not change results *)
-  let g = ring 12 in
-  let reference = run_engine ~traced:true g in
-  let p = Partition.blocks ~n:12 ~parts:5 in
+(* --- routing ---------------------------------------------------------- *)
+
+let blip_hook b (best, r) = ((best + b.Fault.b_node) mod 97, r)
+
+let blips g = Fault.scatter_blips ~seed:3 ~n:(Graph.n g) ~count:3 ~horizon:5 ()
+let blip_plan g = Fault.make ~seed:7 ~blips:(blips g) ()
+
+(* crash windows close: the ARQ layer does not mask a permanent crash,
+   whose neighbours would wait for it forever *)
+let crash_plan g =
+  let n = Graph.n g in
+  Fault.make ~seed:7
+    ~crashes:
+      [
+        { Fault.node = 0; at = 2.; until = Some 4. };
+        { Fault.node = n - 1; at = 3.; until = Some 6. };
+      ]
+    ~blips:(blips g) ()
+
+let lossy_plan = Fault.uniform ~seed:5 ~duplicate:0.2 ~reorder:0.2 ~corrupt:0.1 0.25
+
+(* runs the parallel engine does not take itself: tracing alone, a
+   blip-only plan (raw Sync), a crash+blip plan with traces and a lossy
+   plan (both ARQ) *)
+let routed g =
+  [ (Fault.none, true); (blip_plan g, false); (crash_plan g, true); (lossy_plan, false) ]
+
+let run_runner make ~faults ~traced g =
+  let trace = if traced then Trace.memory () else Trace.null in
   let init, step = gossip g in
-  let trace = Trace.memory () in
-  let states, stats =
-    Parallel.run ~partition:p ~blip:blip_hook ~trace ~domains:5 g ~init ~step
-  in
-  Alcotest.(check bool) "same run" true ((states, stats, Trace.events trace) = reference)
+  let engine : Reliable.sync_runner = make ~faults ~trace in
+  let states, stats = engine.Reliable.run ~blip:blip_hook g ~init ~step in
+  (states, stats, Trace.events trace, engine.Reliable.faulty)
+
+let prop_routed name arb =
+  qtest ("Parallel.runner routes faulty and traced runs like Reliable on " ^ name)
+    ~count:10 arb (fun g ->
+      List.for_all
+        (fun (faults, traced) ->
+          let reference =
+            run_runner (fun ~faults ~trace -> Reliable.runner ~faults ~trace ()) ~faults
+              ~traced g
+          in
+          List.for_all
+            (fun k ->
+              run_runner
+                (fun ~faults ~trace ->
+                  Parallel.runner ~faults ~trace ~threshold:0 ~domains:k ())
+                ~faults ~traced g
+              = reference)
+            [ 1; 2; 4; 7 ])
+        (routed g))
+
+let prop_routed_gnp = prop_routed "gnp" (Generators.arb_gnp ~min_n:2 ~max_n:20 ())
+let prop_routed_udg = prop_routed "udg" (Generators.arb_udg ())
+let prop_routed_tree = prop_routed "trees" (Generators.arb_tree ~min_n:2 ~max_n:30 ())
+
+let prop_routed_connected =
+  prop_routed "connected" (Generators.arb_connected ~max_n:20 ())
 
 let test_rejects_bad_args () =
   let g = ring 4 in
   let init, step = gossip g in
   Alcotest.check_raises "domains = 0" (Invalid_argument "Parallel.run: domains must be >= 1")
-    (fun () -> ignore (Parallel.run ~domains:0 g ~init ~step));
-  let foreign = Partition.blocks ~n:7 ~parts:2 in
-  Alcotest.check_raises "foreign partition"
-    (Invalid_argument "Partition.check: 7 entries for a 4-node graph") (fun () ->
-      ignore (Parallel.run ~partition:foreign ~domains:2 g ~init ~step))
+    (fun () -> ignore (Parallel.run ~domains:0 g ~init ~step))
 
 let test_non_neighbor_send () =
   let g = ring 6 in
@@ -249,7 +251,6 @@ let () =
     [
       ( "partition",
         [
-          Alcotest.test_case "blocks" `Quick test_partition_blocks;
           Alcotest.test_case "bfs path" `Quick test_partition_bfs_path;
           Alcotest.test_case "geometric strips" `Quick test_partition_geometric;
           prop_partition_well_formed;
@@ -260,10 +261,11 @@ let () =
           prop_udg;
           prop_tree;
           prop_connected;
-          Alcotest.test_case "explicit partition" `Quick test_explicit_partition;
           Alcotest.test_case "bad args" `Quick test_rejects_bad_args;
           Alcotest.test_case "non-neighbor send" `Quick test_non_neighbor_send;
         ] );
+      ( "routing",
+        [ prop_routed_gnp; prop_routed_udg; prop_routed_tree; prop_routed_connected ] );
       ( "observability",
         [
           Alcotest.test_case "metrics merge" `Quick test_metrics_merge;

@@ -115,21 +115,21 @@ let test_chrome_parses_and_balances () =
   Span.span s "a" (fun () ->
       Span.span s "b" (fun () -> Span.mark s "ev" ~args:[ ("k", "v") ]));
   let json = Span.to_chrome (Span.entries s) in
-  match Trace.Json.member "traceEvents" (Trace.Json.parse json) with
-  | Some (Trace.Json.Arr evs) ->
+  match Json.member "traceEvents" (Json.parse json) with
+  | Some (Json.Arr evs) ->
       Alcotest.(check int) "one object per entry" 5 (List.length evs);
       let count ph =
         List.length
           (List.filter
-             (fun e -> Trace.Json.member "ph" e = Some (Trace.Json.Str ph))
+             (fun e -> Json.member "ph" e = Some (Json.Str ph))
              evs)
       in
       Alcotest.(check int) "begins balance ends" (count "B") (count "E");
       Alcotest.(check int) "one instant" 1 (count "i");
       List.iter
         (fun e ->
-          match Trace.Json.member "ts" e with
-          | Some (Trace.Json.Num ts) ->
+          match Json.member "ts" e with
+          | Some (Json.Num ts) ->
               Alcotest.(check bool) "ts is relative usec" true (ts >= 0.)
           | _ -> Alcotest.fail "missing ts")
         evs

@@ -88,19 +88,32 @@ let test_event_json_rejects () =
   Alcotest.(check bool) "missing fields" true (fails {|{"t":1,"ev":"send","src":0}|})
 
 let test_json_reader () =
-  let j = Trace.Json.parse {| {"a": -1.5e2, "b": "x\"\n", "c": {"d": true}, "e": null} |} in
-  Alcotest.(check bool) "num" true (Trace.Json.member "a" j = Some (Trace.Json.Num (-150.)));
+  let j = Json.parse {| {"a": -1.5e2, "b": "x\"\n", "c": {"d": true}, "e": null} |} in
+  Alcotest.(check bool) "num" true (Json.member "a" j = Some (Json.Num (-150.)));
   Alcotest.(check bool) "escaped string" true
-    (Trace.Json.member "b" j = Some (Trace.Json.Str "x\"\n"));
+    (Json.member "b" j = Some (Json.Str "x\"\n"));
   Alcotest.(check bool) "nested" true
-    (match Trace.Json.member "c" j with
-    | Some o -> Trace.Json.member "d" o = Some (Trace.Json.Bool true)
+    (match Json.member "c" j with
+    | Some o -> Json.member "d" o = Some (Json.Bool true)
     | None -> false);
-  Alcotest.(check bool) "null" true (Trace.Json.member "e" j = Some Trace.Json.Null);
-  Alcotest.(check bool) "absent" true (Trace.Json.member "zz" j = None);
-  let fails s = try ignore (Trace.Json.parse s); false with Failure _ -> true in
+  Alcotest.(check bool) "null" true (Json.member "e" j = Some Json.Null);
+  Alcotest.(check bool) "absent" true (Json.member "zz" j = None);
+  let fails s = try ignore (Json.parse s); false with Failure _ -> true in
   Alcotest.(check bool) "trailing junk" true (fails "{} x");
   Alcotest.(check bool) "unterminated" true (fails {|{"a": 1|})
+
+(* Json.escape is the one escaper every exporter writes strings with,
+   so its bytes are pinned here and checked against the reader. *)
+let test_json_escape () =
+  Alcotest.(check string) "two-character escapes" {|q\"b\\n\nr\rt\t|}
+    (Json.escape "q\"b\\n\nr\rt\t");
+  Alcotest.(check string) "other control bytes" {|a\u0001b\u001f|}
+    (Json.escape "a\001b\031");
+  Alcotest.(check string) "other bytes copied" "caf\xc3\xa9 /~" (Json.escape "caf\xc3\xa9 /~")
+
+let prop_json_escape_roundtrip =
+  qtest "Json.parse reads back any Json.escape'd string" ~count:200
+    QCheck2.Gen.string (fun s -> Json.parse ("\"" ^ Json.escape s ^ "\"") = Json.Str s)
 
 let test_file_roundtrip () =
   let path = Filename.temp_file "fdlsp" ".jsonl" in
@@ -189,7 +202,7 @@ let arb_stats =
 let prop_stats_json_matches_kv =
   qtest "Stats.to_json parses and reconciles with pp_kv" ~count:100 arb_stats
     (fun st ->
-      let j = Trace.Json.parse (Stats.to_json st) in
+      let j = Json.parse (Stats.to_json st) in
       let kv =
         Format.asprintf "%a" Stats.pp_kv st
         |> String.split_on_char ' '
@@ -200,7 +213,7 @@ let prop_stats_json_matches_kv =
       in
       List.length kv = 8
       && List.for_all
-           (fun (k, v) -> Trace.Json.member k j = Some (Trace.Json.Num v))
+           (fun (k, v) -> Json.member k j = Some (Json.Num v))
            kv)
 
 (* ------------------------------------------------------------------ *)
@@ -326,6 +339,8 @@ let () =
           Alcotest.test_case "event roundtrip" `Quick test_event_json_roundtrip;
           Alcotest.test_case "event rejects" `Quick test_event_json_rejects;
           Alcotest.test_case "json reader" `Quick test_json_reader;
+          Alcotest.test_case "json escape" `Quick test_json_escape;
+          prop_json_escape_roundtrip;
           Alcotest.test_case "file roundtrip" `Quick test_file_roundtrip;
           Alcotest.test_case "load errors" `Quick test_load_errors;
         ] );
