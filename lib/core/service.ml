@@ -32,74 +32,361 @@ type batch = {
   b_slots : int;
 }
 
+(* ------------------------------------------------------------------ *)
+(* State: a compacted base plus a per-node overlay                     *)
+(* ------------------------------------------------------------------ *)
+
+(* A node's links as of now, held in the overlay once they differ from
+   the base: sorted neighbour ids with the color of the out-arc
+   [v -> nbr.(i)] and the in-arc [nbr.(i) -> v] of each.  Cells from
+   [len] on are spare capacity; -1 marks an arc not yet colored. *)
+type row = {
+  mutable len : int;
+  mutable nbr : int array;
+  mutable out_c : int array;
+  mutable in_c : int array;
+}
+
+(* The topology and colors live in two layers.  The base is the graph
+   and schedule of the last compaction; neither is ever mutated, so a
+   view handed out earlier stays valid.  The overlay holds a row for
+   every node whose links or incident arc colors changed since, and a
+   changed link dirties {e both} endpoints — so a clean node's base row
+   is exactly its current row, and each node has one place to read.
+   Counters over colors and degrees answer [num_slots], the largest
+   color and Δ without a scan. *)
 type t = {
   metrics : Metrics.sink;
   spans : Span.sink;
   refine : bool;
   mutable n : int;
-  mutable alive : bool array;
-  mutable graph : Graph.t;
-  mutable sched : Schedule.t;
-  (* The long-lived conflict scratch: valid for any graph with the same
-     arc count, so it survives every batch that preserves 2m and every
-     query in between. *)
-  mutable scratch : Conflict.scratch;
-  mutable scratch_arcs : int;
+  mutable alive : bool array;  (* cells [0 .. n-1] are meaningful *)
+  mutable live : int;
+  mutable graph : Graph.t;  (* base topology *)
+  mutable sched : Schedule.t;  (* base colors, indexed by arc ids of [graph] *)
+  rows : (int, row) Hashtbl.t;  (* the overlay *)
+  mutable dirty : Bytes.t;
+      (* '\001' for nodes with a row; every id >= [Graph.n graph] has one *)
+  mutable overlay : int;  (* sum over rows of 1 + len *)
+  mutable arcs : int;
+  mutable color_count : int array;  (* arcs per color *)
+  mutable slots : int;  (* colors in use *)
+  mutable max_color : int;  (* largest color in use, -1 if none *)
+  mutable mark : int array;  (* first-fit scratch over the color range *)
+  mutable mark_gen : int;
+  mutable deg_count : int array;  (* nodes per degree, ghosts included *)
+  mutable max_deg : int;
   mutable t_batches : int;
   mutable t_events : int;
   mutable t_ops : int;
   mutable t_recolored : int;
 }
 
+(* [apply] compacts on its own once the overlay (rows plus the links
+   they hold) outgrows a sixteenth of the base (nodes plus arcs) by more
+   than a fixed slack, so a caller that never reads a view — the serve
+   loop, a WAL replay — holds little more than the base.  The slack
+   keeps small services from compacting after every batch. *)
+let compact_fraction = 16
+let compact_slack = 512
+
+let grow a len fill =
+  let b = Array.make (max len (2 * Array.length a)) fill in
+  Array.blit a 0 b 0 (Array.length a);
+  b
+
+let add_color t c =
+  if c >= 0 then begin
+    if c + 2 > Array.length t.color_count then begin
+      t.color_count <- grow t.color_count (c + 2) 0;
+      t.mark <- grow t.mark (c + 2) 0
+    end;
+    if t.color_count.(c) = 0 then t.slots <- t.slots + 1;
+    t.color_count.(c) <- t.color_count.(c) + 1;
+    if c > t.max_color then t.max_color <- c
+  end
+
+let drop_color t c =
+  if c >= 0 then begin
+    t.color_count.(c) <- t.color_count.(c) - 1;
+    if t.color_count.(c) = 0 then begin
+      t.slots <- t.slots - 1;
+      while t.max_color >= 0 && t.color_count.(t.max_color) = 0 do
+        t.max_color <- t.max_color - 1
+      done
+    end
+  end
+
+let move_degree t d d' =
+  if d' >= Array.length t.deg_count then t.deg_count <- grow t.deg_count (d' + 1) 0;
+  t.deg_count.(d) <- t.deg_count.(d) - 1;
+  t.deg_count.(d') <- t.deg_count.(d') + 1;
+  if d' > t.max_deg then t.max_deg <- d'
+  else
+    while t.max_deg > 0 && t.deg_count.(t.max_deg) = 0 do
+      t.max_deg <- t.max_deg - 1
+    done
+
+let of_base ~metrics ~spans ~refine ~alive ~totals:(b, e, o, r) g sched =
+  let n = Graph.n g in
+  let t =
+    {
+      metrics;
+      spans;
+      refine;
+      n;
+      alive;
+      live = Array.fold_left (fun acc a -> if a then acc + 1 else acc) 0 alive;
+      graph = g;
+      sched;
+      rows = Hashtbl.create 64;
+      dirty = Bytes.make n '\000';
+      overlay = 0;
+      arcs = Arc.count g;
+      color_count = Array.make 2 0;
+      slots = 0;
+      max_color = -1;
+      mark = Array.make 2 0;
+      mark_gen = 0;
+      deg_count = Array.make 1 0;
+      max_deg = 0;
+      t_batches = b;
+      t_events = e;
+      t_ops = o;
+      t_recolored = r;
+    }
+  in
+  Arc.iter g (fun a -> add_color t (Schedule.get sched a));
+  for v = 0 to n - 1 do
+    t.deg_count.(0) <- t.deg_count.(0) + 1;
+    move_degree t 0 (Graph.degree g v)
+  done;
+  t
+
 let create ?(metrics = Metrics.null) ?(spans = Span.null) ?(refine = true) sched =
   if not (Schedule.valid sched) then
     invalid_arg "Service.create: schedule does not validate";
   let g = Schedule.graph sched in
-  {
-    metrics;
-    spans;
-    refine;
-    n = Graph.n g;
-    alive = Array.make (Graph.n g) true;
-    graph = g;
-    sched = Schedule.copy sched;
-    scratch = Conflict.scratch g;
-    scratch_arcs = Arc.count g;
-    t_batches = 0;
-    t_events = 0;
-    t_ops = 0;
-    t_recolored = 0;
-  }
+  of_base ~metrics ~spans ~refine ~alive:(Array.make (Graph.n g) true) ~totals:(0, 0, 0, 0) g
+    (Schedule.copy sched)
+
+(* -- rows -- *)
+
+let is_dirty t v = Bytes.get t.dirty v <> '\000'
+
+(* Position of [w] in the row, or -1. *)
+let row_find r w =
+  let lo = ref 0 and hi = ref (r.len - 1) and pos = ref (-1) in
+  while !lo <= !hi do
+    let mid = (!lo + !hi) / 2 in
+    let x = r.nbr.(mid) in
+    if x = w then begin
+      pos := mid;
+      lo := !hi + 1
+    end
+    else if x < w then lo := mid + 1
+    else hi := mid - 1
+  done;
+  !pos
+
+let row_remove r i =
+  let tail = r.len - i - 1 in
+  Array.blit r.nbr (i + 1) r.nbr i tail;
+  Array.blit r.out_c (i + 1) r.out_c i tail;
+  Array.blit r.in_c (i + 1) r.in_c i tail;
+  r.len <- r.len - 1
+
+(* Inserts [w] with both arcs uncolored. *)
+let row_insert r w =
+  if r.len = Array.length r.nbr then begin
+    r.nbr <- grow r.nbr 4 0;
+    r.out_c <- grow r.out_c 4 0;
+    r.in_c <- grow r.in_c 4 0
+  end;
+  let i = ref r.len in
+  while !i > 0 && r.nbr.(!i - 1) > w do
+    decr i
+  done;
+  let i = !i and tail = r.len - !i in
+  Array.blit r.nbr i r.nbr (i + 1) tail;
+  Array.blit r.out_c i r.out_c (i + 1) tail;
+  Array.blit r.in_c i r.in_c (i + 1) tail;
+  r.nbr.(i) <- w;
+  r.out_c.(i) <- Schedule.uncolored;
+  r.in_c.(i) <- Schedule.uncolored;
+  r.len <- r.len + 1
+
+(* [iter_row t v f] calls [f w out in] for every link [{v, w}], [w]
+   ascending, with the colors of [v -> w] and [w -> v]. *)
+let iter_row t v f =
+  if is_dirty t v then begin
+    let r = Hashtbl.find t.rows v in
+    for i = 0 to r.len - 1 do
+      f r.nbr.(i) r.out_c.(i) r.in_c.(i)
+    done
+  end
+  else
+    Graph.iter_incident_edges t.graph v (fun e w ->
+        let out = Arc.of_edge ~edge:e ~dir:(if v < w then 0 else 1) in
+        f w (Schedule.get t.sched out) (Schedule.get t.sched (Arc.rev out)))
+
+(* The row of [v], copied out of the base on first write. *)
+let own_row t v =
+  if is_dirty t v then Hashtbl.find t.rows v
+  else begin
+    let d = if v < Graph.n t.graph then Graph.degree t.graph v else 0 in
+    let r = { len = 0; nbr = Array.make d 0; out_c = Array.make d 0; in_c = Array.make d 0 } in
+    if d > 0 then
+      iter_row t v (fun w o i ->
+          r.nbr.(r.len) <- w;
+          r.out_c.(r.len) <- o;
+          r.in_c.(r.len) <- i;
+          r.len <- r.len + 1);
+    Bytes.set t.dirty v '\001';
+    Hashtbl.replace t.rows v r;
+    t.overlay <- t.overlay + 1 + d;
+    r
+  end
+
+(* Color of arc [u -> v], -1 when [{u, v}] is not a link. *)
+let arc_color t u v =
+  if is_dirty t u then
+    let r = Hashtbl.find t.rows u in
+    let i = row_find r v in
+    if i < 0 then -1 else r.out_c.(i)
+  else
+    match Graph.edge_index t.graph u v with
+    | None -> -1
+    | Some e -> Schedule.get t.sched (Arc.of_edge ~edge:e ~dir:(if u < v then 0 else 1))
+
+let has_link t u v =
+  if is_dirty t u then row_find (Hashtbl.find t.rows u) v >= 0 else Graph.mem_edge t.graph u v
+
+let set_arc t u v c =
+  let ru = own_row t u and rv = own_row t v in
+  ru.out_c.(row_find ru v) <- c;
+  rv.in_c.(row_find rv u) <- c
+
+let link t u v =
+  let ru = own_row t u and rv = own_row t v in
+  row_insert ru v;
+  row_insert rv u;
+  move_degree t (ru.len - 1) ru.len;
+  move_degree t (rv.len - 1) rv.len;
+  t.arcs <- t.arcs + 2;
+  t.overlay <- t.overlay + 2
+
+let unlink t u v =
+  let ru = own_row t u and rv = own_row t v in
+  let i = row_find ru v in
+  drop_color t ru.out_c.(i);
+  drop_color t ru.in_c.(i);
+  row_remove ru i;
+  row_remove rv (row_find rv u);
+  move_degree t (ru.len + 1) ru.len;
+  move_degree t (rv.len + 1) rv.len;
+  t.arcs <- t.arcs - 2;
+  t.overlay <- t.overlay - 2
+
+let unlink_all t v =
+  let r = own_row t v in
+  while r.len > 0 do
+    unlink t v r.nbr.(r.len - 1)
+  done
+
+(* -- compaction -- *)
+
+(* Folds the overlay into a new base: one merge of the base edges that
+   have no dirty endpoint with the sorted edges of the dirty rows, into
+   the trusted CSR constructor.  Only the overlay's edges are sorted.
+   The result has exactly the arc ids a from-scratch [Graph.create] of
+   the same edge set would assign. *)
+let compact t =
+  if Hashtbl.length t.rows > 0 || Graph.n t.graph <> t.n then begin
+    let base = t.graph and bsched = t.sched in
+    let dirty_edges = ref [] in
+    let add e = dirty_edges := e :: !dirty_edges in
+    Hashtbl.iter
+      (fun v r ->
+        for i = 0 to r.len - 1 do
+          let w = r.nbr.(i) in
+          (* an edge between two dirty nodes is taken from its lower end *)
+          if v < w then add (v, w, r.out_c.(i), r.in_c.(i))
+          else if not (is_dirty t w) then add (w, v, r.in_c.(i), r.out_c.(i))
+        done)
+      t.rows;
+    let dirty_edges = Array.of_list !dirty_edges in
+    Array.sort
+      (fun (a, b, _, _) (c, d, _, _) -> if a <> c then Int.compare a c else Int.compare b d)
+      dirty_edges;
+    let m = t.arcs / 2 in
+    let edges = Array.make m (0, 0) and colors = Array.make (2 * m) Schedule.uncolored in
+    let k = ref 0 and j = ref 0 in
+    let put e c0 c1 =
+      edges.(!k) <- e;
+      colors.(2 * !k) <- c0;
+      colors.((2 * !k) + 1) <- c1;
+      incr k
+    in
+    let take_dirty () =
+      let u, v, c0, c1 = dirty_edges.(!j) in
+      put (u, v) c0 c1;
+      incr j
+    in
+    for e = 0 to Graph.m base - 1 do
+      let ((u, v) as uv) = Graph.edge_endpoints base e in
+      if not (is_dirty t u || is_dirty t v) then begin
+        while
+          !j < Array.length dirty_edges
+          &&
+          let a, b, _, _ = dirty_edges.(!j) in
+          a < u || (a = u && b < v)
+        do
+          take_dirty ()
+        done;
+        put uv (Schedule.get bsched (2 * e)) (Schedule.get bsched ((2 * e) + 1))
+      end
+    done;
+    while !j < Array.length dirty_edges do
+      take_dirty ()
+    done;
+    let g = Graph.of_sorted_edges_unchecked ~n:t.n edges in
+    t.graph <- g;
+    t.sched <- Schedule.of_colors g colors;
+    Hashtbl.iter (fun v _ -> Bytes.set t.dirty v '\000') t.rows;
+    Hashtbl.reset t.rows;
+    t.overlay <- 0
+  end
+
+(* ------------------------------------------------------------------ *)
+(* Queries                                                             *)
+(* ------------------------------------------------------------------ *)
 
 let nodes t = t.n
-let live t = Array.fold_left (fun acc a -> if a then acc + 1 else acc) 0 t.alive
+let live t = t.live
 
 let alive t v =
   if v < 0 || v >= t.n then invalid_arg "Service.alive: node out of range";
   t.alive.(v)
 
-let graph t = t.graph
-let schedule t = t.sched
-let num_slots t = Schedule.num_slots t.sched
+let graph t =
+  compact t;
+  t.graph
+
+let schedule t =
+  compact t;
+  t.sched
+
+let num_slots t = t.slots
 
 let totals t =
   { batches = t.t_batches; events = t.t_events; ops = t.t_ops; recolored = t.t_recolored }
 
 let slot_of_arc t u v =
-  if u < 0 || v < 0 || u >= t.n || v >= t.n || not (Graph.mem_edge t.graph u v) then None
+  if u < 0 || v < 0 || u >= t.n || v >= t.n || u = v then None
   else
-    let c = Schedule.get t.sched (Arc.make t.graph u v) in
+    let c = arc_color t u v in
     if c < 0 then None else Some c
-
-let slot_of_id t a = Schedule.get t.sched a
-
-let scratch_for t g =
-  let c = Arc.count g in
-  if c <> t.scratch_arcs then begin
-    t.scratch <- Conflict.scratch g;
-    t.scratch_arcs <- c
-  end;
-  t.scratch
 
 (* ------------------------------------------------------------------ *)
 (* Coalescer                                                           *)
@@ -117,6 +404,11 @@ let scratch_for t g =
    if the node was never mentioned); leave-then-rejoin nets to a move;
    duplicate leaves are idempotent; moves merge into the last one. *)
 type net = N_join of int list | N_leave | N_move of int list
+
+let current_neighbors t v =
+  let acc = ref [] in
+  iter_row t v (fun w _ _ -> acc := w :: !acc);
+  List.rev !acc
 
 let coalesce t events =
   let nets : (int, net) Hashtbl.t = Hashtbl.create 16 in
@@ -192,8 +484,7 @@ let coalesce t events =
   let noop_move (v, nbrs_l) =
     v < t.n && t.alive.(v)
     && List.for_all (fun w -> w >= 0 && w < t.n && w <> v) nbrs_l
-    && List.filter (fun w -> t.alive.(w)) nbrs_l
-       = Array.to_list (Graph.neighbors t.graph v)
+    && List.filter (fun w -> t.alive.(w)) nbrs_l = current_neighbors t v
   in
   if
     leaves = [] && joins = [] && degrades = [] && moves <> []
@@ -205,16 +496,51 @@ let coalesce t events =
 (* Batch repair                                                        *)
 (* ------------------------------------------------------------------ *)
 
-(* One graph rebuild per batch.  Survivor arcs (no endpoint dead,
-   reset, or degraded) keep their colors; every arc incident to a
-   reset (joined/moved) node is first-fit recolored.  Any pair of arcs
-   brought into conflict by a batch owes its new adjacency to a fresh
-   link, and every fresh link has a reset endpoint — so one of the pair
-   is always recolored against the other and a single pass restores
-   validity.  A fixup sweep over the touched neighborhood re-checks
-   that argument at runtime, and the refine pass enforces the Lemma-6
-   budget [Bounds.upper] that carried colors could otherwise outgrow
-   as the graph shrinks. *)
+(* Calls [f] on the color of every arc conflicting with [x -> y] (-1
+   for uncolored ones), the arc itself excluded: the arcs incident on
+   [x] or [y], the out-arcs of [y]'s neighbours and the in-arcs of
+   [x]'s neighbours — {!Conflict.iter_conflicting}'s neighbourhood, read
+   from the rows.  A color may be reported more than once. *)
+let iter_conflict_colors t x y f =
+  iter_row t x (fun z o i ->
+      if z <> y then f o;
+      f i);
+  iter_row t y (fun z o i ->
+      f o;
+      if z <> x then f i);
+  iter_row t y (fun w _ _ -> iter_row t w (fun z o _ -> if w <> x || z <> y then f o));
+  iter_row t x (fun w _ _ -> iter_row t w (fun z _ i -> if w <> y || z <> x then f i))
+
+(* {!Greedy.first_free} on the current graph: the smallest color no
+   colored conflicting arc uses.  [mark] spans at least [max_color + 2]
+   cells, so the scan stops inside it. *)
+let first_free t x y =
+  t.mark_gen <- t.mark_gen + 1;
+  let gen = t.mark_gen and mark = t.mark in
+  iter_conflict_colors t x y (fun c -> if c >= 0 then mark.(c) <- gen);
+  let c = ref 0 in
+  while mark.(!c) = gen do
+    incr c
+  done;
+  !c
+
+let clashes t x y c =
+  let hit = ref false in
+  iter_conflict_colors t x y (fun c' -> if c' = c then hit := true);
+  !hit
+
+(* Survivor links (no endpoint dead, reset, or degraded) keep their
+   colors; every link of a reset (joined/moved) node is fresh and its
+   two arcs are first-fit recolored.  Any pair of arcs brought into
+   conflict by a batch owes its new adjacency to a fresh link, and
+   every fresh link has a reset endpoint — so one of the pair is always
+   recolored against the other and a single pass restores validity.  A
+   fixup over the touched neighborhood re-checks that argument at
+   runtime, and the refine pass enforces the Lemma-6 budget
+   [Bounds.upper] that carried colors could otherwise outgrow as the
+   graph shrinks.  Every step reads and writes only the rows of the
+   nodes the batch touches; the coloring is the one a rebuild of the
+   whole post-batch graph followed by the same passes would produce. *)
 let apply_ops t ops ~n_events =
   let invalid fmt = Printf.ksprintf invalid_arg fmt in
   let leaves = List.filter_map (function Op_leave v -> Some v | _ -> None) ops in
@@ -244,114 +570,108 @@ let apply_ops t ops ~n_events =
       if v < t.n && t.alive.(v) then invalid "Service: join of live node %d" v)
     joins;
   let n' = t.n + List.length fresh in
-  let alive' = Array.make n' true in
-  Array.blit t.alive 0 alive' 0 t.n;
-  List.iter (fun (v, _) -> if v < t.n then alive'.(v) <- true) (moves @ joins);
-  List.iter (fun v -> alive'.(v) <- false) leaves;
-  let reset = Array.make n' false in
-  List.iter (fun (v, _) -> reset.(v) <- true) (moves @ joins);
-  let degraded : (int * int, unit) Hashtbl.t = Hashtbl.create 8 in
   List.iter
     (fun (u, v) ->
-      if u >= n' || v >= n' || not (Graph.mem_edge t.graph u v) then
-        invalid "Service: degrade names a missing link {%d,%d}" u v;
-      Hashtbl.replace degraded (u, v) ())
+      if u >= t.n || v >= t.n || not (has_link t u v) then
+        invalid "Service: degrade names a missing link {%d,%d}" u v)
     degrades;
-  (* survivors keep both arc colors across the rebuild *)
-  let g', sched' =
-    Span.span t.spans "service.rebuild" @@ fun () ->
-    let survivors = ref [] in
-    Graph.iter_edges t.graph (fun e u v ->
-      if
-        alive'.(u) && alive'.(v)
-        && (not reset.(u))
-        && (not reset.(v))
-        && not (Hashtbl.mem degraded (u, v))
-      then
-        survivors :=
-          ( u,
-            v,
-            Schedule.get t.sched (Arc.of_edge ~edge:e ~dir:0),
-            Schedule.get t.sched (Arc.of_edge ~edge:e ~dir:1) )
-          :: !survivors);
-  let fresh_edges : (int * int, unit) Hashtbl.t = Hashtbl.create 16 in
+  let resets = moves @ joins in
   List.iter
     (fun (v, nbrs) ->
       List.iter
         (fun w ->
           if w < 0 || w >= n' then
             invalid "Service: node %d links to out-of-range neighbor %d" v w;
-          if w = v then invalid "Service: node %d links to itself" v;
-          (* a leave in the same batch wins over links to the leaver *)
-          if alive'.(w) then Hashtbl.replace fresh_edges (min v w, max v w) ())
+          if w = v then invalid "Service: node %d links to itself" v)
         nbrs)
-    (moves @ joins);
-  let edges =
-    List.rev_map (fun (u, v, _, _) -> (u, v)) !survivors
-    |> Hashtbl.fold (fun e () acc -> e :: acc) fresh_edges
-  in
-    let g' = Graph.create ~n:n' edges in
-    let sched' = Schedule.make g' in
-    List.iter
-      (fun (u, v, cuv, cvu) ->
-        if cuv >= 0 then Schedule.set sched' (Arc.make g' u v) cuv;
-        if cvu >= 0 then Schedule.set sched' (Arc.make g' v u) cvu)
-      !survivors;
-    (g', sched')
-  in
+    resets;
+  (* validated: from here on the batch cannot fail *)
+  Span.span t.spans "service.rebuild" (fun () ->
+      if n' > Array.length t.alive then begin
+        t.alive <- grow t.alive n' false;
+        let d = Bytes.make (Array.length t.alive) '\000' in
+        Bytes.blit t.dirty 0 d 0 (Bytes.length t.dirty);
+        t.dirty <- d
+      end;
+      t.deg_count.(0) <- t.deg_count.(0) + n' - t.n;
+      t.n <- n';
+      List.iter
+        (fun v ->
+          unlink_all t v;
+          t.alive.(v) <- false;
+          t.live <- t.live - 1)
+        leaves;
+      List.iter
+        (fun (v, _) ->
+          unlink_all t v;
+          if not t.alive.(v) then begin
+            t.alive.(v) <- true;
+            t.live <- t.live + 1
+          end)
+        resets;
+      List.iter (fun (u, v) -> unlink t u v) degrades;
+      (* a leave in the same batch wins over links to the leaver *)
+      List.iter
+        (fun (v, nbrs) ->
+          List.iter (fun w -> if t.alive.(w) && not (has_link t v w) then link t v w) nbrs)
+        resets);
   (* coarse repair: first-fit every arc incident to a reset node *)
-  let scratch = scratch_for t g' in
-  let touched : (int, unit) Hashtbl.t = Hashtbl.create 64 in
+  let touched : (int * int, unit) Hashtbl.t = Hashtbl.create 64 in
   let recolored = ref 0 in
-  let recolor a =
-    Schedule.set sched' a (Greedy.first_free ~scratch sched' a);
-    Hashtbl.replace touched a ();
+  let recolor x y =
+    let c = first_free t x y in
+    drop_color t (arc_color t x y);
+    set_arc t x y c;
+    add_color t c;
+    Hashtbl.replace touched (x, y) ();
     incr recolored
   in
-  let reset_nodes = ref [] in
-  for v = n' - 1 downto 0 do
-    if reset.(v) then reset_nodes := v :: !reset_nodes
-  done;
+  let reset_nodes = List.sort compare (List.map fst resets) in
   Span.span t.spans "service.recolor" (fun () ->
       List.iter
         (fun v ->
-          Arc.iter_incident g' v (fun a ->
-              if not (Schedule.is_colored sched' a) then recolor a))
-        !reset_nodes);
+          let r = own_row t v in
+          for i = 0 to r.len - 1 do
+            let w = r.nbr.(i) in
+            if r.out_c.(i) < 0 then recolor v w;
+            if r.in_c.(i) < 0 then recolor w v
+          done)
+        reset_nodes);
   (* fixup: re-check the touched neighborhood (see the argument above —
      expected to find nothing, kept as a runtime safety net) *)
-  let exception Clash in
-  let clashes a c =
-    match
-      Conflict.iter_conflicting ~scratch g' a (fun b ->
-          if Schedule.get sched' b = c then raise Clash)
-    with
-    | () -> false
-    | exception Clash -> true
+  let tnodes =
+    List.concat_map
+      (fun v ->
+        let r = own_row t v in
+        v :: Array.to_list (Array.sub r.nbr 0 r.len))
+      reset_nodes
+    |> List.sort_uniq compare
   in
-  let tnodes = Array.make n' false in
-  List.iter
-    (fun v ->
-      tnodes.(v) <- true;
-      Graph.iter_neighbors g' v (fun w -> tnodes.(w) <- true))
-    !reset_nodes;
   Span.span t.spans "service.fixup" (fun () ->
-      for v = 0 to n' - 1 do
-        if tnodes.(v) then
-          Arc.iter_incident g' v (fun a ->
-              let c = Schedule.get sched' a in
-              if c >= 0 && clashes a c then recolor a)
-      done);
-  (* refine: pull carried colors back under the current slot budget *)
+      List.iter
+        (fun v ->
+          let r = own_row t v in
+          for i = 0 to r.len - 1 do
+            let w = r.nbr.(i) in
+            let c = r.out_c.(i) in
+            if c >= 0 && clashes t v w c then recolor v w;
+            let c = r.in_c.(i) in
+            if c >= 0 && clashes t w v c then recolor w v
+          done)
+        tnodes);
+  (* refine: pull carried colors back under the current slot budget,
+     [Bounds.upper] = 2Δ², in arc-id order of the post-batch graph *)
   if t.refine then
     Span.span t.spans "service.refine" (fun () ->
-        let ub = Bounds.upper g' in
-        Arc.iter g' (fun a -> if Schedule.get sched' a >= ub then recolor a));
-  t.n <- n';
-  t.alive <- alive';
-  t.graph <- g';
-  t.sched <- sched';
-  let total_arcs = Arc.count g' in
+        let ub = 2 * t.max_deg * t.max_deg in
+        if t.max_color >= ub then begin
+          compact t;
+          let g = t.graph and sched = t.sched in
+          Arc.iter g (fun a ->
+              if Schedule.get sched a >= ub then recolor (Arc.tail g a) (Arc.head g a))
+        end);
+  if t.overlay > compact_slack + ((Arc.count t.graph + Graph.n t.graph) / compact_fraction)
+  then Span.span t.spans "service.rebuild" (fun () -> compact t);
   let b_touched = Hashtbl.length touched in
   {
     b_events = n_events;
@@ -359,8 +679,8 @@ let apply_ops t ops ~n_events =
     b_recolored = !recolored;
     b_touched;
     b_touched_frac =
-      (if total_arcs = 0 then 0. else float_of_int b_touched /. float_of_int total_arcs);
-    b_slots = Schedule.num_slots sched';
+      (if t.arcs = 0 then 0. else float_of_int b_touched /. float_of_int t.arcs);
+    b_slots = t.slots;
   }
 
 let apply t events =
@@ -378,7 +698,7 @@ let apply t events =
               b_recolored = 0;
               b_touched = 0;
               b_touched_frac = 0.;
-              b_slots = Schedule.num_slots t.sched;
+              b_slots = t.slots;
             }
         | ops -> apply_ops t ops ~n_events)
   in
@@ -405,6 +725,7 @@ let apply t events =
 (* ------------------------------------------------------------------ *)
 
 let snapshot t =
+  compact t;
   let b = Buffer.create 1024 in
   Buffer.add_string b "fdlsp-service 1\n";
   Buffer.add_string b (Printf.sprintf "refine %d\n" (if t.refine then 1 else 0));
@@ -426,15 +747,17 @@ let restore ?(metrics = Metrics.null) ?(spans = Span.null) text =
   (* split off the trailing checksum line; everything before it is the
      checksummed payload, byte-exact *)
   let marker = "\nchecksum " in
-  let idx =
-    let rec last_from i best =
-      if i + String.length marker > String.length text then best
-      else if String.sub text i (String.length marker) = marker then last_from (i + 1) (Some i)
-      else last_from (i + 1) best
-    in
-    last_from 0 None
+  let k = String.length marker in
+  (* the last occurrence, found backwards without allocating *)
+  let rec matches i j = j = k || (text.[i + j] = marker.[j] && matches i (j + 1)) in
+  let rec last_from i =
+    if i < 0 then None else if matches i 0 then Some i else last_from (i - 1)
   in
-  let idx = match idx with Some i -> i | None -> fail_s "missing checksum line" in
+  let idx =
+    match last_from (String.length text - k) with
+    | Some i -> i
+    | None -> fail_s "missing checksum line"
+  in
   let payload = String.sub text 0 (idx + 1) in
   let tail = String.sub text (idx + 1) (String.length text - idx - 1) in
   let hex =
@@ -495,24 +818,14 @@ let restore ?(metrics = Metrics.null) ?(spans = Span.null) text =
     (fun v live -> if (not live) && Graph.degree g v > 0 then
         fail_s (Printf.sprintf "dead node %d still has links" v))
     alive;
-  {
-    metrics;
-    spans;
-    refine;
-    n = Graph.n g;
-    alive;
-    graph = g;
-    sched;
-    scratch = Conflict.scratch g;
-    scratch_arcs = Arc.count g;
-    t_batches;
-    t_events;
-    t_ops;
-    t_recolored;
-  }
+  of_base ~metrics ~spans ~refine ~alive ~totals:(t_batches, t_events, t_ops, t_recolored) g
+    sched
 
 let equal a b =
-  a.n = b.n && a.refine = b.refine && a.alive = b.alive
+  compact a;
+  compact b;
+  let rec same_alive v = v = a.n || (a.alive.(v) = b.alive.(v) && same_alive (v + 1)) in
+  a.n = b.n && a.refine = b.refine && same_alive 0
   && Schedule.equal a.sched b.sched
   && a.t_batches = b.t_batches && a.t_events = b.t_events && a.t_ops = b.t_ops
   && a.t_recolored = b.t_recolored
@@ -564,6 +877,7 @@ let line_of_string line =
   | Some (Json.Str other) -> fail "Service.line_of_string: unknown event kind %S" other
   | _ -> fail "Service.line_of_string: missing \"ev\" field"
 
+
 (* ------------------------------------------------------------------ *)
 (* Synthetic churn                                                     *)
 (* ------------------------------------------------------------------ *)
@@ -571,57 +885,58 @@ let line_of_string line =
 (* Events are generated against a throwaway copy of the service,
    advanced batch by batch, so every event is legal with respect to
    the state at its batch boundary (the same state [apply] validates
-   against). *)
+   against).  That state changes only at the boundary, so the live and
+   ghost populations are listed once per batch, and the graph is
+   compacted only for a batch that draws a degrade. *)
 let synth t ~seed ~events ~batch =
   if batch < 1 then invalid_arg "Service.synth: batch must be >= 1";
   if events < 0 then invalid_arg "Service.synth: events must be >= 0";
   let copy = restore (snapshot t) in
   let rng = Random.State.make [| 0x5e12; seed |] in
-  let gen_event () =
-    let live = ref [] in
+  let gen_batch k =
+    let live = ref [] and ghosts = ref [] in
     for v = copy.n - 1 downto 0 do
-      if copy.alive.(v) then live := v :: !live
+      if copy.alive.(v) then live := v :: !live else ghosts := v :: !ghosts
     done;
-    let live = Array.of_list !live in
+    let live = Array.of_list !live and ghosts = Array.of_list !ghosts in
     let nlive = Array.length live in
-    let ghosts = ref [] in
-    for v = copy.n - 1 downto 0 do
-      if not copy.alive.(v) then ghosts := v :: !ghosts
-    done;
-    let ghosts = Array.of_list !ghosts in
-    let m = Graph.m copy.graph in
+    let m = copy.arcs / 2 in
+    let g = lazy (graph copy) in
     let sample_nbrs v =
       let want = 1 + Random.State.int rng 3 in
       List.init want (fun _ -> live.(Random.State.int rng nlive))
       |> List.filter (fun w -> w <> v)
       |> List.sort_uniq compare
     in
-    let roll = Random.State.int rng 100 in
-    if roll < 25 then
-      let node =
-        if Array.length ghosts > 0 && Random.State.bool rng then
-          ghosts.(Random.State.int rng (Array.length ghosts))
-        else copy.n
-      in
-      Some (Join { node; neighbors = (if nlive = 0 then [] else sample_nbrs node) })
-    else if roll < 40 then
-      if nlive > 2 then Some (Leave live.(Random.State.int rng nlive)) else None
-    else if roll < 80 then
-      if nlive = 0 then None
-      else
-        let v = live.(Random.State.int rng nlive) in
-        Some (Move { node = v; neighbors = sample_nbrs v })
-    else if m > 0 then
-      let u, v = Graph.edge_endpoints copy.graph (Random.State.int rng m) in
-      Some (Degrade { u; v })
-    else None
+    let gen_event () =
+      let roll = Random.State.int rng 100 in
+      if roll < 25 then
+        let node =
+          if Array.length ghosts > 0 && Random.State.bool rng then
+            ghosts.(Random.State.int rng (Array.length ghosts))
+          else copy.n
+        in
+        Some (Join { node; neighbors = (if nlive = 0 then [] else sample_nbrs node) })
+      else if roll < 40 then
+        if nlive > 2 then Some (Leave live.(Random.State.int rng nlive)) else None
+      else if roll < 80 then
+        if nlive = 0 then None
+        else
+          let v = live.(Random.State.int rng nlive) in
+          Some (Move { node = v; neighbors = sample_nbrs v })
+      else if m > 0 then
+        let u, v = Graph.edge_endpoints (Lazy.force g) (Random.State.int rng m) in
+        Some (Degrade { u; v })
+      else None
+    in
+    List.filter_map (fun _ -> gen_event ()) (List.init k Fun.id)
   in
   let out = ref [] in
   let remaining = ref events in
   while !remaining > 0 do
     let k = min batch !remaining in
     remaining := !remaining - k;
-    let evs = List.filter_map (fun _ -> gen_event ()) (List.init k Fun.id) in
+    let evs = gen_batch k in
     ignore (apply copy evs);
     out := evs :: !out
   done;

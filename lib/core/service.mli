@@ -1,4 +1,4 @@
-(** Long-lived scheduling service: batched churn between O(1) slot queries.
+(** Long-lived scheduling service: batched churn between slot queries.
 
     {!Local_update} repairs one topology event at a time as a
     distributed protocol; a deployed scheduler absorbs {e streams}.
@@ -8,18 +8,27 @@
     duplicates deduped, a join cancelled by a later leave, consecutive
     moves merged into the last one, degrades deduplicated and dropped
     when subsumed by a node op), then {b repaired incrementally}: the
-    post-batch conflict graph is rebuilt once, colors of arcs untouched
-    by the batch are carried over, and only arcs incident to joined or
-    moved nodes are first-fit recolored against a long-lived
-    {!Fdlsp_color.Conflict.scratch} — the coarse-repair-then-refine
-    split of Bhatia–Hansdah.  The refine pass enforces the Lemma-6 slot
-    budget: after every batch the schedule is Definition-2 valid and
-    uses at most {!Fdlsp_color.Bounds.upper} slots of the {e current}
-    graph, the same budget a from-scratch first-fit obeys (carried
-    colors could otherwise drift above it as the graph shrinks).
+    batch edits only the adjacency rows of the nodes it touches (a
+    per-node overlay over the last compacted graph), colors of arcs
+    untouched by the batch are carried over, and only arcs incident to
+    joined or moved nodes are first-fit recolored — the
+    coarse-repair-then-refine split of Bhatia–Hansdah.  A batch costs
+    O(touched arcs · Δ²) and allocates nothing proportional to the
+    graph.  The colors are exactly those a rebuild of the whole
+    post-batch graph followed by the same passes would give.  The
+    refine pass enforces the Lemma-6 slot budget: after every batch
+    the schedule is Definition-2 valid and uses at most
+    {!Fdlsp_color.Bounds.upper} slots of the {e current} graph, the
+    same budget a from-scratch first-fit obeys (carried colors could
+    otherwise drift above it as the graph shrinks).
 
-    Between batches, slot queries read the cached color array — no
-    repair work, no allocation.
+    Between batches, slot queries read one adjacency row — no repair
+    work, no allocation.  The views {!graph}, {!schedule},
+    {!snapshot} and {!equal} first fold the overlay into a new
+    compacted graph and schedule: O(m) on the first read after a
+    batch, then O(1) until the next one.  {!apply} also compacts on
+    its own once the overlay passes a fixed fraction of the graph, so
+    a caller that never reads a view holds a bounded overlay.
 
     Batch semantics, in order of application:
     - node ids are never recycled downward: [Leave] marks a node dead
@@ -92,35 +101,40 @@ val create :
     [spans] (default {!Fdlsp_sim.Span.null}) instruments every batch:
     {!apply} records a ["service.coalesce"] span and a
     ["service.repair"] span whose children break the repair down into
-    ["service.rebuild"] (conflict-graph rebuild + color carry-over),
+    ["service.rebuild"] (the overlay edit, and the compaction when
+    {!apply} compacts on its own),
     ["service.recolor"] (coarse first-fit), ["service.fixup"]
     (touched-neighborhood re-check) and ["service.refine"] (slot-budget
     enforcement). *)
 
-(** {1 Queries — O(1) between batches} *)
+(** {1 Queries} *)
 
 val nodes : t -> int
 (** Size of the id space, dead ghosts included. *)
 
 val live : t -> int
+(** Live nodes, O(1). *)
+
 val alive : t -> int -> bool
 val graph : t -> Fdlsp_graph.Graph.t
-(** Current topology (live links only). *)
+(** Current topology (live links only).  O(m) on the first call after
+    a batch, O(1) after that.  A later {!apply} never changes a graph
+    returned earlier. *)
 
 val schedule : t -> Schedule.t
-(** The live schedule — shared, do not mutate. *)
+(** The current schedule, over the arc ids of {!graph} — shared, do not
+    mutate.  Same cost as {!graph}; a later {!apply} never changes a
+    schedule returned earlier. *)
 
 val num_slots : t -> int
+(** Slots in use, O(1) from the per-color arc counts. *)
+
 val totals : t -> totals
 
 val slot_of_arc : t -> int -> int -> int option
 (** [slot_of_arc t u v] is the slot of arc [u -> v], [None] when
-    [{u, v}] is not a live link.  Reads the cached color array: the
-    edge-index lookup is [O(log deg u)], then one array read — no
-    repair work, no allocation. *)
-
-val slot_of_id : t -> Fdlsp_graph.Arc.id -> int
-(** Raw O(1) variant for callers holding arc ids of {!graph}. *)
+    [{u, v}] is not a live link.  One [O(log deg u)] lookup in [u]'s
+    adjacency row — no repair work, no allocation, no compaction. *)
 
 (** {1 Ingest} *)
 
