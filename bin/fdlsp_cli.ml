@@ -31,39 +31,30 @@ let die_usage msg =
   prerr_endline ("fdlsp: usage error: " ^ msg);
   exit 2
 
-let checked_int ?min ?max what =
+let checked ~parse ~show ~pp ~expects ?min ?max what =
   let parse s =
-    match int_of_string_opt s with
-    | None -> die_usage (Printf.sprintf "%s expects an integer, got %S" what s)
+    match parse s with
+    | None -> die_usage (Printf.sprintf "%s expects %s, got %S" what expects s)
     | Some v ->
-        (match min with
-        | Some lo when v < lo ->
-            die_usage (Printf.sprintf "%s must be >= %d, got %d" what lo v)
-        | _ -> ());
-        (match max with
-        | Some hi when v > hi ->
-            die_usage (Printf.sprintf "%s must be <= %d, got %d" what hi v)
-        | _ -> ());
+        let bound op lo ok =
+          if not ok then
+            die_usage (Printf.sprintf "%s must be %s %s, got %s" what op (show lo) (show v))
+        in
+        Option.iter (fun lo -> bound ">=" lo (v >= lo)) min;
+        Option.iter (fun hi -> bound "<=" hi (v <= hi)) max;
         Ok v
   in
-  Arg.conv (parse, Format.pp_print_int)
+  Arg.conv (parse, pp)
 
-let checked_float ?min ?max what =
-  let parse s =
-    match float_of_string_opt s with
-    | Some v when not (Float.is_nan v) ->
-        (match min with
-        | Some lo when v < lo ->
-            die_usage (Printf.sprintf "%s must be >= %g, got %g" what lo v)
-        | _ -> ());
-        (match max with
-        | Some hi when v > hi ->
-            die_usage (Printf.sprintf "%s must be <= %g, got %g" what hi v)
-        | _ -> ());
-        Ok v
-    | _ -> die_usage (Printf.sprintf "%s expects a number, got %S" what s)
-  in
-  Arg.conv (parse, Format.pp_print_float)
+let checked_int =
+  checked ~parse:int_of_string_opt ~show:string_of_int ~pp:Format.pp_print_int
+    ~expects:"an integer"
+
+let checked_float =
+  checked
+    ~parse:(fun s ->
+      match float_of_string_opt s with Some v when not (Float.is_nan v) -> Some v | _ -> None)
+    ~show:(Printf.sprintf "%g") ~pp:Format.pp_print_float ~expects:"a number"
 
 let prob what = checked_float ~min:0. ~max:1. what
 
@@ -192,6 +183,33 @@ let or_die = function
       prerr_endline ("fdlsp: " ^ m);
       exit 1
 
+(* Library entry points reject bad parameter combinations with
+   [Invalid_argument], and the serve loop raises [Server.Error] on a
+   failed startup or batch; both are user errors too. *)
+let guard f = try f () with Invalid_argument m | Server.Error m -> or_die (Error m)
+
+let rate_arg ?(default = 0.) name doc =
+  Arg.(value & opt (prob ("--" ^ name)) default & info [ name ] ~docv:"P" ~doc)
+
+let timeout_arg doc =
+  Arg.(
+    value
+    & opt (checked_float ~min:1e-6 "--timeout")
+        Fdlsp_sim.Reliable.default.Fdlsp_sim.Reliable.timeout
+    & info [ "timeout" ] ~docv:"T" ~doc)
+
+let json_arg doc = Arg.(value & flag & info [ "json" ] ~doc)
+
+let load_trace path =
+  try Fdlsp_sim.Trace.load path with Failure m -> or_die (Error m)
+
+let meta_int meta k = Option.bind (List.assoc_opt k meta) int_of_string_opt
+let meta_float meta k = Option.bind (List.assoc_opt k meta) float_of_string_opt
+
+let replay_failed out m =
+  emit out (Printf.sprintf "replay=FAILED %s\n" m);
+  exit 2
+
 (* --- gen ------------------------------------------------------------ *)
 
 let gen_cmd =
@@ -203,59 +221,60 @@ let gen_cmd =
     (Cmd.info "gen" ~doc:"Generate a workload graph")
     Term.(const run $ graph_source $ out_arg)
 
-(* --- schedule -------------------------------------------------------- *)
+(* --- algorithms ------------------------------------------------------ *)
 
 type algo = Dist_gbg | Dist_general | Dist_gps | Dfs | Dmgc | Greedy_a | Random_a | Exact
 
-let algo_conv =
-  Arg.enum
-    [
-      ("distmis", Dist_gbg);
-      ("distmis-general", Dist_general);
-      ("distmis-gps", Dist_gps);
-      ("dfs", Dfs);
-      ("dmgc", Dmgc);
-      ("greedy", Greedy_a);
-      ("randomized", Random_a);
-      ("exact", Exact);
-    ]
+let algos =
+  [
+    ("distmis", Dist_gbg);
+    ("distmis-general", Dist_general);
+    ("distmis-gps", Dist_gps);
+    ("dfs", Dfs);
+    ("dmgc", Dmgc);
+    ("greedy", Greedy_a);
+    ("randomized", Random_a);
+    ("exact", Exact);
+  ]
 
-let run_algo ?(metrics = Metrics.null) ?(spans = Span.null) ?(domains = 1) algo seed g =
+let algo_name a = fst (List.find (fun (_, a') -> a' = a) algos)
+
+(* The subset of [algos] a subcommand accepts, in the order given. *)
+let only names = List.map (fun n -> (n, List.assoc n algos)) names
+
+let algo_arg ~doc ~default table =
+  let doc = Printf.sprintf "%s: %s." doc (String.concat " | " (List.map fst table)) in
+  Arg.(value & opt (enum table) default & info [ "a"; "algo" ] ~doc)
+
+let run_algo ?faults ?reliable ?trace ?(metrics = Metrics.null) ?(spans = Span.null)
+    ?(domains = 1) algo seed g =
   let rng () = Random.State.make [| seed; 0xA5 |] in
   (* multi-domain runs swap Luby's shared-RNG priorities for hashed
      per-(node, phase) draws: same algorithm family, but every draw is
      independent of engine step order, so the parallel engine reproduces
      the sequential run bit for bit *)
   let mis_random () = if domains > 1 then Mis.Hashed seed else Mis.Luby (rng ()) in
+  (* the engine carries the fault plan; lossy plans fall back to the
+     sequential ARQ synchronizer inside the runner *)
   let engine =
     if domains <= 1 then None
-    else Some (Fdlsp_sim.Parallel.runner ~spans ~domains ())
+    else Some (Fdlsp_sim.Parallel.runner ?faults ?config:reliable ~spans ~domains ())
+  in
+  let dist_mis mis variant =
+    let r = Dist_mis.run ?faults ?reliable ?engine ?trace ~metrics ~spans ~mis ~variant g in
+    (r.Dist_mis.schedule, Some r.Dist_mis.stats)
   in
   Metrics.timed metrics "fdlsp_run" (fun () ->
       Span.span spans "run" @@ fun () ->
       match algo with
-      | Dist_gbg ->
-          let r =
-            Dist_mis.run ?engine ~metrics ~spans ~mis:(mis_random ())
-              ~variant:Dist_mis.Gbg g
-          in
-          (r.Dist_mis.schedule, Some r.Dist_mis.stats)
-      | Dist_general ->
-          let r =
-            Dist_mis.run ?engine ~metrics ~spans ~mis:(mis_random ())
-              ~variant:Dist_mis.General g
-          in
-          (r.Dist_mis.schedule, Some r.Dist_mis.stats)
-      | Dist_gps ->
-          let r =
-            Dist_mis.run ?engine ~metrics ~spans ~mis:Mis.Gps ~variant:Dist_mis.Gbg g
-          in
-          (r.Dist_mis.schedule, Some r.Dist_mis.stats)
+      | Dist_gbg -> dist_mis (mis_random ()) Dist_mis.Gbg
+      | Dist_general -> dist_mis (mis_random ()) Dist_mis.General
+      | Dist_gps -> dist_mis Mis.Gps Dist_mis.Gbg
       | Dfs ->
-          let r = Dfs_sched.run ~metrics ~spans g in
+          let r = Dfs_sched.run ?faults ?reliable ?trace ~metrics ~spans g in
           (r.Dfs_sched.schedule, Some r.Dfs_sched.stats)
       | Dmgc ->
-          let r = Dmgc.run ~metrics ~spans g in
+          let r = Dmgc.run ?trace ~metrics ~spans g in
           (r.Dmgc.schedule, Some r.Dmgc.stats)
       | Greedy_a -> Span.span spans "greedy" (fun () -> (Greedy.color g, None))
       | Random_a ->
@@ -293,14 +312,10 @@ let metrics_dump fmt reg =
   | `Json -> Metrics.to_json reg ^ "\n"
   | `Prom -> Metrics.to_prometheus reg
 
+(* --- schedule -------------------------------------------------------- *)
+
 let schedule_cmd =
-  let algo =
-    let doc =
-      "Algorithm: distmis | distmis-general | distmis-gps | dfs | dmgc | greedy | \
-       randomized | exact."
-    in
-    Arg.(value & opt algo_conv Dfs & info [ "a"; "algo" ] ~doc)
-  in
+  let algo = algo_arg ~doc:"Algorithm" ~default:Dfs algos in
   let show =
     let doc = "Print the full slot table." in
     Arg.(value & flag & info [ "show-slots" ] ~doc)
@@ -319,21 +334,17 @@ let schedule_cmd =
     let reg = Metrics.create () in
     let sched, stats = run_algo ~metrics:(Metrics.sink reg) ~domains algo seed g in
     let sched = Schedule.normalize sched in
-    (match save with None -> () | Some path -> Schedule.write_file path sched);
+    Option.iter (fun path -> Schedule.write_file path sched) save;
     let buf = Buffer.create 256 in
-    Buffer.add_string buf
-      (Printf.sprintf "nodes=%d edges=%d max_degree=%d avg_degree=%.2f\n" (Graph.n g)
-         (Graph.m g) (Graph.max_degree g) (Graph.avg_degree g));
-    Buffer.add_string buf
-      (Printf.sprintf "slots=%d lower_bound=%d upper_bound=%d valid=%b\n"
-         (Schedule.num_slots sched) (Bounds.lower g) (Bounds.upper g) (Schedule.valid sched));
-    (match stats with
-    | Some s -> Buffer.add_string buf (Format.asprintf "%a\n" Fdlsp_sim.Stats.pp_kv s)
-    | None -> ());
+    Printf.bprintf buf "nodes=%d edges=%d max_degree=%d avg_degree=%.2f\n" (Graph.n g)
+      (Graph.m g) (Graph.max_degree g) (Graph.avg_degree g);
+    Printf.bprintf buf "slots=%d lower_bound=%d upper_bound=%d valid=%b\n"
+      (Schedule.num_slots sched) (Bounds.lower g) (Bounds.upper g) (Schedule.valid sched);
+    Option.iter
+      (fun s -> Buffer.add_string buf (Format.asprintf "%a\n" Fdlsp_sim.Stats.pp_kv s))
+      stats;
     if show then Buffer.add_string buf (Format.asprintf "%a" Schedule.pp sched);
-    (match metrics_fmt with
-    | Some fmt -> Buffer.add_string buf (metrics_dump fmt reg)
-    | None -> ());
+    Option.iter (fun fmt -> Buffer.add_string buf (metrics_dump fmt reg)) metrics_fmt;
     emit out (Buffer.contents buf)
   in
   Cmd.v
@@ -344,24 +355,17 @@ let schedule_cmd =
 
 (* --- faults ----------------------------------------------------------- *)
 
-type fault_algo = F_dfs | F_distmis | F_distmis_general
-
 let faults_cmd =
   let algo =
-    let doc = "Algorithm to run over the faulty network: dfs | distmis | distmis-general." in
-    Arg.(
-      value
-      & opt (Arg.enum [ ("dfs", F_dfs); ("distmis", F_distmis); ("distmis-general", F_distmis_general) ]) F_dfs
-      & info [ "a"; "algo" ] ~doc)
+    algo_arg ~doc:"Algorithm to run over the faulty network" ~default:Dfs
+      (only [ "dfs"; "distmis"; "distmis-general" ])
   in
-  let rate name doc = Arg.(value & opt (prob ("--" ^ name)) 0. & info [ name ] ~docv:"P" ~doc) in
-  let drop =
-    let doc = "Per-transmission drop probability." in
-    Arg.(value & opt (prob "--drop") 0.1 & info [ "drop" ] ~docv:"P" ~doc)
+  let drop = rate_arg ~default:0.1 "drop" "Per-transmission drop probability." in
+  let duplicate = rate_arg "duplicate" "Per-transmission duplication probability." in
+  let reorder = rate_arg "reorder" "Probability a copy escapes FIFO ordering." in
+  let corrupt =
+    rate_arg "corrupt" "Per-transmission corruption (checksum-failure) probability."
   in
-  let duplicate = rate "duplicate" "Per-transmission duplication probability." in
-  let reorder = rate "reorder" "Probability a copy escapes FIFO ordering." in
-  let corrupt = rate "corrupt" "Per-transmission corruption (checksum-failure) probability." in
   let crashes =
     let doc =
       "After scheduling, crash $(docv) random nodes one at a time and patch the \
@@ -370,60 +374,21 @@ let faults_cmd =
     in
     Arg.(value & opt (checked_int ~min:0 "--crashes") 0 & info [ "crashes" ] ~docv:"K" ~doc)
   in
-  let timeout =
-    let doc = "Retransmission timeout of the reliable layer (time units/rounds)." in
-    Arg.(value
-         & opt (checked_float ~min:1e-6 "--timeout")
-             Fdlsp_sim.Reliable.default.Fdlsp_sim.Reliable.timeout
-         & info [ "timeout" ] ~docv:"T" ~doc)
-  in
-  let json =
-    let doc = "Emit a JSON report instead of key=value lines." in
-    Arg.(value & flag & info [ "json" ] ~doc)
-  in
+  let timeout = timeout_arg "Retransmission timeout of the reliable layer (time units/rounds)." in
+  let json = json_arg "Emit a JSON report instead of key=value lines." in
   let run graph algo seed domains drop duplicate reorder corrupt crashes timeout json out
       verbose =
     setup_logs verbose;
     let g = or_die graph in
     let open Fdlsp_sim in
-    let plan =
-      try Fault.uniform ~seed ~duplicate ~reorder ~corrupt drop
-      with Invalid_argument m -> or_die (Error m)
+    let plan = guard (fun () -> Fault.uniform ~seed ~duplicate ~reorder ~corrupt drop) in
+    let reliable = { Reliable.default with Reliable.timeout } in
+    (* every algorithm [faults] accepts reports stats *)
+    let run_one faults =
+      let sched, stats = run_algo ?faults ~reliable ~domains algo seed g in
+      (sched, Option.get stats)
     in
-    let config = { Reliable.default with Reliable.timeout } in
-    let rng () = Random.State.make [| seed; 0xA5 |] in
-    let mis_random () = if domains > 1 then Mis.Hashed seed else Mis.Luby (rng ()) in
-    (* the engine carries the plan, so build one per run; lossy plans
-       fall back to the sequential ARQ synchronizer inside the runner *)
-    let engine faults =
-      if domains <= 1 then None
-      else Some (Parallel.runner ?faults ~config ~domains ())
-    in
-    let algo_name, run_one =
-      match algo with
-      | F_dfs ->
-          ( "dfs",
-            fun faults ->
-              let r = Dfs_sched.run ?faults ~reliable:config g in
-              (r.Dfs_sched.schedule, r.Dfs_sched.stats) )
-      | F_distmis ->
-          ( "distmis",
-            fun faults ->
-              let r =
-                Dist_mis.run ?faults ?engine:(engine faults) ~reliable:config
-                  ~mis:(mis_random ()) ~variant:Dist_mis.Gbg g
-              in
-              (r.Dist_mis.schedule, r.Dist_mis.stats) )
-      | F_distmis_general ->
-          ( "distmis-general",
-            fun faults ->
-              let r =
-                Dist_mis.run ?faults ?engine:(engine faults) ~reliable:config
-                  ~mis:(mis_random ()) ~variant:Dist_mis.General g
-              in
-              (r.Dist_mis.schedule, r.Dist_mis.stats) )
-    in
-    let guard f = try f () with Invalid_argument m -> or_die (Error m) in
+    let algo_name = algo_name algo in
     let _, base_stats = guard (fun () -> run_one None) in
     let sched, stats = guard (fun () -> run_one (Some plan)) in
     let sched = Schedule.normalize sched in
@@ -455,36 +420,30 @@ let faults_cmd =
     in
     let buf = Buffer.create 512 in
     if json then begin
-      Buffer.add_string buf
-        (Printf.sprintf
-           "{\"algo\":%S,\"nodes\":%d,\"edges\":%d,\"drop\":%g,\"duplicate\":%g,\
-            \"reorder\":%g,\"corrupt\":%g,\"slots\":%d,\"valid\":%b,\
-            \"baseline\":%s,\"faulty\":%s,\"round_overhead\":%.4f,\
-            \"message_overhead\":%.4f"
-           algo_name (Graph.n g) (Graph.m g) drop duplicate reorder corrupt
-           (Schedule.num_slots sched) valid (Stats.to_json base_stats)
-           (Stats.to_json stats)
-           (ratio stats.Stats.rounds base_stats.Stats.rounds)
-           (ratio stats.Stats.messages base_stats.Stats.messages));
-      (match churn with
-      | Some r -> Buffer.add_string buf (",\"churn\":" ^ Churn.report_to_json r)
-      | None -> ());
+      Printf.bprintf buf
+        "{\"algo\":%S,\"nodes\":%d,\"edges\":%d,\"drop\":%g,\"duplicate\":%g,\
+         \"reorder\":%g,\"corrupt\":%g,\"slots\":%d,\"valid\":%b,\
+         \"baseline\":%s,\"faulty\":%s,\"round_overhead\":%.4f,\
+         \"message_overhead\":%.4f"
+        algo_name (Graph.n g) (Graph.m g) drop duplicate reorder corrupt
+        (Schedule.num_slots sched) valid (Stats.to_json base_stats) (Stats.to_json stats)
+        (ratio stats.Stats.rounds base_stats.Stats.rounds)
+        (ratio stats.Stats.messages base_stats.Stats.messages);
+      Option.iter (fun r -> Printf.bprintf buf ",\"churn\":%s" (Churn.report_to_json r)) churn;
       Buffer.add_string buf "}\n"
     end
     else begin
-      Buffer.add_string buf
-        (Printf.sprintf "algo=%s nodes=%d edges=%d drop=%g duplicate=%g reorder=%g corrupt=%g\n"
-           algo_name (Graph.n g) (Graph.m g) drop duplicate reorder corrupt);
+      Printf.bprintf buf "algo=%s nodes=%d edges=%d drop=%g duplicate=%g reorder=%g corrupt=%g\n"
+        algo_name (Graph.n g) (Graph.m g) drop duplicate reorder corrupt;
       Buffer.add_string buf (Format.asprintf "baseline: %a\n" Stats.pp_kv base_stats);
       Buffer.add_string buf (Format.asprintf "faulty:   %a\n" Stats.pp_kv stats);
-      Buffer.add_string buf
-        (Printf.sprintf "slots=%d valid=%b round_overhead=%.2f message_overhead=%.2f\n"
-           (Schedule.num_slots sched) valid
-           (ratio stats.Stats.rounds base_stats.Stats.rounds)
-           (ratio stats.Stats.messages base_stats.Stats.messages));
-      match churn with
-      | Some r -> Buffer.add_string buf (Format.asprintf "%a\n" Churn.pp_report r)
-      | None -> ()
+      Printf.bprintf buf "slots=%d valid=%b round_overhead=%.2f message_overhead=%.2f\n"
+        (Schedule.num_slots sched) valid
+        (ratio stats.Stats.rounds base_stats.Stats.rounds)
+        (ratio stats.Stats.messages base_stats.Stats.messages);
+      Option.iter
+        (fun r -> Buffer.add_string buf (Format.asprintf "%a\n" Churn.pp_report r))
+        churn
     end;
     emit out (Buffer.contents buf);
     if not valid then exit 2
@@ -507,29 +466,20 @@ let blip_horizon_arg =
   Arg.(value & opt (checked_int ~min:1 "--blip-horizon") 8 & info [ "blip-horizon" ] ~docv:"H" ~doc)
 
 let stabilize_cmd =
-  let rate name doc = Arg.(value & opt (prob ("--" ^ name)) 0. & info [ name ] ~docv:"P" ~doc) in
-  let drop = rate "drop" "Per-transmission drop probability (loss composed with corruption)." in
-  let duplicate = rate "duplicate" "Per-transmission duplication probability." in
+  let drop =
+    rate_arg "drop" "Per-transmission drop probability (loss composed with corruption)."
+  in
+  let duplicate = rate_arg "duplicate" "Per-transmission duplication probability." in
   let rounds =
     let doc = "Heartbeat horizon; default: last blip time plus settle slack." in
     Arg.(value & opt (some (checked_int ~min:1 "--rounds")) None & info [ "rounds" ] ~docv:"R" ~doc)
   in
-  let timeout =
-    let doc = "Retransmission timeout of the reliable layer (lossy runs only)." in
-    Arg.(value
-         & opt (checked_float ~min:1e-6 "--timeout")
-             Fdlsp_sim.Reliable.default.Fdlsp_sim.Reliable.timeout
-         & info [ "timeout" ] ~docv:"T" ~doc)
-  in
-  let json =
-    let doc = "Emit a JSON report instead of a key=value line." in
-    Arg.(value & flag & info [ "json" ] ~doc)
-  in
+  let timeout = timeout_arg "Retransmission timeout of the reliable layer (lossy runs only)." in
+  let json = json_arg "Emit a JSON report instead of a key=value line." in
   let run graph seed blips horizon drop duplicate rounds timeout json out verbose =
     setup_logs verbose;
     let g = or_die graph in
     let open Fdlsp_sim in
-    let guard f = try f () with Invalid_argument m -> or_die (Error m) in
     let faults =
       guard (fun () ->
           Fault.make ~seed
@@ -636,25 +586,20 @@ let frames_cmd =
     in
     Arg.(value & flag & info [ "stabilize" ] ~doc)
   in
-  let json =
-    let doc = "Emit a JSON report instead of a key=value line." in
-    Arg.(value & flag & info [ "json" ] ~doc)
-  in
+  let json = json_arg "Emit a JSON report instead of a key=value line." in
   let run graph seed frames master drift jitter beacon_loss resync_threshold max_retries
       slot_duration warm blips record replay stabilize json out verbose =
     setup_logs verbose;
     let open Fdlsp_sim in
     match replay with
     | Some path ->
-        let file = try Trace.load path with Failure m -> or_die (Error m) in
+        let file = load_trace path in
         let meta = file.Trace.meta in
-        let mint k = Option.bind (List.assoc_opt k meta) int_of_string_opt in
-        let mfloat k = Option.bind (List.assoc_opt k meta) float_of_string_opt in
         (match
            Trace.Replay.check_frames
-             ?resync_threshold:(mint "resync_threshold")
-             ?frame_time:(mfloat "frame_time") ?frame_length:(mint "frame_length")
-             file.Trace.events
+             ?resync_threshold:(meta_int meta "resync_threshold")
+             ?frame_time:(meta_float meta "frame_time")
+             ?frame_length:(meta_int meta "frame_length") file.Trace.events
          with
         | Ok f ->
             emit out
@@ -665,12 +610,9 @@ let frames_cmd =
                  f.Trace.Replay.f_desyncs f.Trace.Replay.f_resyncs f.Trace.Replay.f_joins
                  f.Trace.Replay.f_sleeps f.Trace.Replay.f_max_lag
                  f.Trace.Replay.f_synced_end)
-        | Error m ->
-            emit out (Printf.sprintf "replay=FAILED %s\n" m);
-            exit 2)
+        | Error m -> replay_failed out m)
     | None ->
         let g = or_die graph in
-        let guard f = try f () with Invalid_argument m -> or_die (Error m) in
         let config =
           {
             Frame.frames;
@@ -714,9 +656,7 @@ let frames_cmd =
                 path)
             record
         in
-        let trace =
-          match writer with Some w -> Trace.writer_sink w | None -> Trace.null
-        in
+        let trace = Option.fold ~none:Trace.null ~some:Trace.writer_sink writer in
         let r = guard (fun () -> Frame.run ~config ~trace g sched) in
         Option.iter (fun w -> Trace.close_writer ~stats:r.Frame.r_stats w) writer;
         let buf = Buffer.create 256 in
@@ -749,32 +689,19 @@ let frames_cmd =
 
 (* --- trace ------------------------------------------------------------ *)
 
-type trace_algo = T_dfs | T_distmis | T_distmis_general | T_dmgc | T_stabilize
-
 let trace_cmd =
+  (* [None] is the self-stabilization run, which is not a scheduler *)
   let algo =
-    let doc = "Algorithm to trace: distmis | distmis-general | dfs | dmgc | stabilize." in
-    Arg.(
-      value
-      & opt
-          (Arg.enum
-             [
-               ("distmis", T_distmis);
-               ("distmis-general", T_distmis_general);
-               ("dfs", T_dfs);
-               ("dmgc", T_dmgc);
-               ("stabilize", T_stabilize);
-             ])
-          T_distmis
-      & info [ "a"; "algo" ] ~doc)
+    algo_arg ~doc:"Algorithm to trace" ~default:(Some Dist_gbg)
+      (List.map
+         (fun (n, a) -> (n, Some a))
+         (only [ "distmis"; "distmis-general"; "dfs"; "dmgc" ])
+      @ [ ("stabilize", None) ])
   in
-  let rate name default doc =
-    Arg.(value & opt (prob ("--" ^ name)) default & info [ name ] ~docv:"P" ~doc)
-  in
-  let drop = rate "drop" 0.1 "Per-transmission drop probability." in
-  let duplicate = rate "duplicate" 0. "Per-transmission duplication probability." in
-  let reorder = rate "reorder" 0. "Probability a copy escapes FIFO ordering." in
-  let corrupt = rate "corrupt" 0. "Per-transmission corruption probability." in
+  let drop = rate_arg ~default:0.1 "drop" "Per-transmission drop probability." in
+  let duplicate = rate_arg "duplicate" "Per-transmission duplication probability." in
+  let reorder = rate_arg "reorder" "Probability a copy escapes FIFO ordering." in
+  let corrupt = rate_arg "corrupt" "Per-transmission corruption probability." in
   let replay =
     let doc =
       "Re-validate the recorded trace in $(docv) instead of recording: decisions must \
@@ -788,18 +715,7 @@ let trace_cmd =
     let doc = "Print per-phase breakdowns of the recorded trace in $(docv)." in
     Arg.(value & opt (some string) None & info [ "summary" ] ~docv:"FILE" ~doc)
   in
-  let json =
-    let doc = "Emit the summary as JSON instead of key=value lines." in
-    Arg.(value & flag & info [ "json" ] ~doc)
-  in
-  let meta_float meta key =
-    match List.assoc_opt key meta with
-    | Some s -> ( match float_of_string_opt s with Some f -> f | None -> 0.)
-    | None -> 0.
-  in
-  let meta_int meta key =
-    match List.assoc_opt key meta with Some s -> int_of_string_opt s | None -> None
-  in
+  let json = json_arg "Emit the summary as JSON instead of key=value lines." in
   let run graph algo seed drop duplicate reorder corrupt blips bhorizon replay summary json
       out verbose =
     setup_logs verbose;
@@ -807,30 +723,27 @@ let trace_cmd =
     match (replay, summary) with
     | Some _, Some _ -> or_die (Error "--replay and --summary are mutually exclusive")
     | None, Some path ->
-        let file = try Trace.load path with Failure m -> or_die (Error m) in
+        let file = load_trace path in
         let s = Trace.Summary.of_events file.Trace.events in
         if json then emit out (Trace.Summary.to_json s ^ "\n")
         else emit out (Format.asprintf "%a" Trace.Summary.pp s)
     | Some path, None -> (
         let g = or_die graph in
-        let file = try Trace.load path with Failure m -> or_die (Error m) in
+        let file = load_trace path in
         let meta = file.Trace.meta in
-        (match (meta_int meta "n", meta_int meta "m") with
-        | Some n, _ when n <> Graph.n g ->
-            or_die
-              (Error
-                 (Printf.sprintf
-                    "trace was recorded on a %d-node graph, but the given graph has %d \
-                     nodes (same --generate/--input and --seed required)"
-                    n (Graph.n g)))
-        | _, Some m when m <> Graph.m g ->
-            or_die
-              (Error
-                 (Printf.sprintf
-                    "trace was recorded on a %d-edge graph, but the given graph has %d \
-                     edges (same --generate/--input and --seed required)"
-                    m (Graph.m g)))
-        | _ -> ());
+        let require what key actual =
+          match meta_int meta key with
+          | Some recorded when recorded <> actual ->
+              or_die
+                (Error
+                   (Printf.sprintf
+                      "trace was recorded on a %d-%s graph, but the given graph has %d \
+                       %ss (same --generate/--input and --seed required)"
+                      recorded what actual what))
+          | _ -> ()
+        in
+        require "node" "n" (Graph.n g);
+        require "edge" "m" (Graph.m g);
         match List.assoc_opt "algo" meta with
         | Some "stabilize" -> (
             (* a self-stabilization trace: regenerate the blip plan from
@@ -860,20 +773,15 @@ let trace_cmd =
                      r.Trace.Replay.s_detects r.Trace.Replay.s_recolorings
                      r.Trace.Replay.s_recolored_arcs r.Trace.Replay.s_rounds_to_stabilize
                      (Schedule.num_slots r.Trace.Replay.s_schedule))
-            | Error m ->
-                emit out (Printf.sprintf "replay=FAILED %s\n" m);
-                exit 2)
+            | Error m -> replay_failed out m)
         | _ -> (
+            let rate k = Option.value (meta_float meta k) ~default:0. in
             let plan =
-              match meta_int meta "fault_seed" with
-              | Some fseed ->
-                  Some
-                    (Fault.uniform ~seed:fseed
-                       ~duplicate:(meta_float meta "duplicate")
-                       ~reorder:(meta_float meta "reorder")
-                       ~corrupt:(meta_float meta "corrupt")
-                       (meta_float meta "drop"))
-              | None -> None
+              Option.map
+                (fun seed ->
+                  Fault.uniform ~seed ~duplicate:(rate "duplicate") ~reorder:(rate "reorder")
+                    ~corrupt:(rate "corrupt") (rate "drop"))
+                (meta_int meta "fault_seed")
             in
             match
               Trace.Replay.check ?plan ?stats:file.Trace.stats ~require_complete:true g
@@ -887,28 +795,17 @@ let trace_cmd =
                      r.Trace.Replay.events r.Trace.Replay.colors r.Trace.Replay.mis_joins
                      r.Trace.Replay.retransmit_events r.Trace.Replay.crash_events
                      (Schedule.num_slots r.Trace.Replay.schedule))
-            | Error m ->
-                emit out (Printf.sprintf "replay=FAILED %s\n" m);
-                exit 2))
+            | Error m -> replay_failed out m))
     | None, None ->
         (* record *)
         let g = or_die graph in
         let lossy = drop > 0. || duplicate > 0. || reorder > 0. || corrupt > 0. in
         let faults =
           if lossy then
-            Some
-              (try Fault.uniform ~seed ~duplicate ~reorder ~corrupt drop
-               with Invalid_argument m -> or_die (Error m))
+            Some (guard (fun () -> Fault.uniform ~seed ~duplicate ~reorder ~corrupt drop))
           else None
         in
-        let algo_name =
-          match algo with
-          | T_dfs -> "dfs"
-          | T_distmis -> "distmis"
-          | T_distmis_general -> "distmis-general"
-          | T_dmgc -> "dmgc"
-          | T_stabilize -> "stabilize"
-        in
+        let algo_name = match algo with Some a -> algo_name a | None -> "stabilize" in
         let meta =
           [
             ("algo", algo_name);
@@ -925,7 +822,7 @@ let trace_cmd =
                ]
              else [])
           @
-          if algo = T_stabilize then
+          if algo = None then
             [
               ("blip_seed", string_of_int seed);
               ("blips", string_of_int blips);
@@ -939,33 +836,16 @@ let trace_cmd =
           | Some path -> Trace.open_writer ~meta path
         in
         let trace = Trace.writer_sink writer in
-        let rng () = Random.State.make [| seed; 0xA5 |] in
-        let guard f = try f () with Invalid_argument m -> or_die (Error m) in
         let stats =
           guard (fun () ->
               match algo with
-              | T_dfs ->
-                  let r = Dfs_sched.run ?faults ~trace g in
-                  Some r.Dfs_sched.stats
-              | T_distmis ->
-                  let r =
-                    Dist_mis.run ?faults ~trace ~mis:(Mis.Luby (rng ()))
-                      ~variant:Dist_mis.Gbg g
-                  in
-                  Some r.Dist_mis.stats
-              | T_distmis_general ->
-                  let r =
-                    Dist_mis.run ?faults ~trace ~mis:(Mis.Luby (rng ()))
-                      ~variant:Dist_mis.General g
-                  in
-                  Some r.Dist_mis.stats
-              | T_dmgc ->
-                  let _ = Dmgc.run ~trace g in
+              | Some a ->
+                  let _, stats = run_algo ?faults ~trace a seed g in
                   (* D-MGC stats are a cost model with no engine events
                      behind them; omit the trailer so replay skips the
                      accounting check *)
-                  None
-              | T_stabilize ->
+                  if a = Dmgc then None else stats
+              | None ->
                   let faults =
                     Fault.make ~seed
                       ~default_link:(Fault.lossy ~duplicate ~reorder ~corrupt drop)
@@ -991,13 +871,7 @@ let trace_cmd =
 (* --- metrics ----------------------------------------------------------- *)
 
 let metrics_cmd =
-  let algo =
-    let doc =
-      "Algorithm: distmis | distmis-general | distmis-gps | dfs | dmgc | greedy | \
-       randomized | exact."
-    in
-    Arg.(value & opt algo_conv Dfs & info [ "a"; "algo" ] ~doc)
-  in
+  let algo = algo_arg ~doc:"Algorithm" ~default:Dfs algos in
   let format =
     let doc = "Export format: kv (stable key=value), json, or prom (Prometheus text)." in
     Arg.(value & opt metrics_format_conv `Kv & info [ "f"; "format" ] ~docv:"FMT" ~doc)
@@ -1021,13 +895,7 @@ let metrics_cmd =
 (* --- profile ----------------------------------------------------------- *)
 
 let profile_cmd =
-  let algo =
-    let doc =
-      "Algorithm: distmis | distmis-general | distmis-gps | dfs | dmgc | greedy | \
-       randomized | exact."
-    in
-    Arg.(value & opt algo_conv Dfs & info [ "a"; "algo" ] ~doc)
-  in
+  let algo = algo_arg ~doc:"Algorithm" ~default:Dfs algos in
   let chrome_arg =
     let doc =
       "Write the profile as Chrome trace_event JSON to $(docv) (load in \
@@ -1067,12 +935,8 @@ let profile_cmd =
       Logs.warn (fun k ->
           k "span ring overflowed (%d entries lost); profile is a suffix"
             (Span.overwritten spans));
-    (match chrome with
-    | Some path -> emit (Some path) (Span.to_chrome entries)
-    | None -> ());
-    (match folded with
-    | Some path -> emit (Some path) (Span.to_folded entries)
-    | None -> ());
+    Option.iter (fun path -> emit (Some path) (Span.to_chrome entries)) chrome;
+    Option.iter (fun path -> emit (Some path) (Span.to_folded entries)) folded;
     if chrome = None && folded = None then emit out (Span.to_folded entries)
   in
   Cmd.v
@@ -1098,9 +962,7 @@ let doctor_cmd =
       | None -> die_usage "doctor expects a DUMP file argument"
     in
     let d =
-      try Flight.load path with
-      | Failure m -> or_die (Error m)
-      | Sys_error m -> or_die (Error m)
+      try Flight.load path with Failure m | Sys_error m -> or_die (Error m)
     in
     emit out (Format.asprintf "%a" Flight.pp_story d)
   in
@@ -1132,7 +994,7 @@ let arc_conv =
    --batch K > 0 additionally closes every K events.  A malformed line
    dies through the uniform usage-error contract (exit 2), naming its
    1-based line number in the original file. *)
-let read_event_batches path ~batch =
+let read_event_batches ~batch path =
   let text =
     try
       if path = "-" then In_channel.input_all stdin
@@ -1262,27 +1124,24 @@ let serve_cmd =
   (* "--slo KEY=NUM"; an unknown key or unparseable number dies with the
      uniform usage contract (exit 2) like every other argument *)
   let slo_conv =
-    let keys = [ "p99_repair_ms"; "events_per_sec"; "queue_depth" ] in
+    let keys = String.concat "|" (List.map fst Server.slo_names) in
     let parse s =
       match String.index_opt s '=' with
       | None ->
           die_usage
-            (Printf.sprintf "--slo expects KEY=NUM with KEY one of %s, got %S"
-               (String.concat "|" keys) s)
+            (Printf.sprintf "--slo expects KEY=NUM with KEY one of %s, got %S" keys s)
       | Some i -> (
           let key = String.sub s 0 i in
           let v = String.sub s (i + 1) (String.length s - i - 1) in
-          if not (List.mem key keys) then
-            die_usage
-              (Printf.sprintf "--slo key must be one of %s, got %S"
-                 (String.concat "|" keys) key);
-          match float_of_string_opt v with
-          | Some f when (not (Float.is_nan f)) && f >= 0. -> Ok (key, f)
-          | _ ->
+          match (Server.slo_of_string key, float_of_string_opt v) with
+          | None, _ ->
+              die_usage (Printf.sprintf "--slo key must be one of %s, got %S" keys key)
+          | Some slo, Some f when (not (Float.is_nan f)) && f >= 0. -> Ok (slo, f)
+          | Some _, _ ->
               die_usage
                 (Printf.sprintf "--slo %s expects a non-negative number, got %S" key v))
     in
-    Arg.conv (parse, fun ppf (k, v) -> Format.fprintf ppf "%s=%g" k v)
+    Arg.conv (parse, fun ppf (k, v) -> Format.fprintf ppf "%s=%g" (Server.slo_name k) v)
   in
   let slo_arg =
     let doc =
@@ -1304,353 +1163,148 @@ let serve_cmd =
   let run spec file seed events_file synth batch snap restore queries check json out wal
       recover auto_snapshot max_batch rate health_every health_out slos flight verbose =
     setup_logs verbose;
-    let reg = Metrics.create () in
-    let msink = Metrics.sink reg in
-    (* always-on flight recorder: bounded rings, so keeping it hot is a
-       few MB at worst; dumps only happen when a dump path exists *)
-    let fr = Flight.create () in
-    let fspans = Flight.spans fr in
-    let flight_path =
-      match flight with
-      | Some p -> Some p
-      | None -> Option.map (fun dir -> Filename.concat dir "flight.fdr") wal
-    in
-    let flight_dump reason =
-      match flight_path with
-      | None -> ()
-      | Some path -> (
-          try Flight.dump fr ~reason path
-          with Sys_error m -> Logs.warn (fun k -> k "flight dump failed: %s" m))
-    in
-    let num_or_null f = if Float.is_nan f then "null" else Printf.sprintf "%g" f in
-    if recover && wal = None then or_die (Error "--recover requires --wal");
-    let store, svc, recovery =
+    let source =
       if recover then begin
+        if wal = None then or_die (Error "--recover requires --wal");
         if spec <> None || file <> None || restore <> None then
           or_die
             (Error "--recover is mutually exclusive with --generate/--input/--restore");
-        match
-          Wal.Store.recover ~metrics:msink ~spans:fspans ~auto_snapshot
-            ~dir:(Option.get wal) ()
-        with
-        | st, rv -> (Some st, Wal.Store.service st, Some rv)
-        | exception Failure m -> or_die (Error m)
-        | exception Sys_error m -> or_die (Error m)
+        Server.Recover
       end
-      else begin
-        let svc =
-          match (restore, spec, file) with
-          | Some _, Some _, _ | Some _, _, Some _ ->
-              or_die (Error "--restore is mutually exclusive with --generate/--input")
-          | Some path, None, None -> (
-              let text =
-                try In_channel.with_open_text path In_channel.input_all
-                with Sys_error m -> or_die (Error m)
-              in
-              try Service.restore ~metrics:msink ~spans:fspans text
-              with Failure m -> or_die (Error m))
-          | None, _, _ ->
-              let g =
-                match (spec, file) with
-                | Some s, None -> build_spec seed s
-                | None, Some path -> (
-                    try Io.read_file path with Failure m -> or_die (Error m))
-                | None, None ->
-                    or_die (Error "one of --generate, --input or --restore is required")
-                | Some _, Some _ ->
-                    or_die (Error "--generate and --input are mutually exclusive")
-              in
-              Service.create ~metrics:msink ~spans:fspans
-                (Dfs_sched.run g).Dfs_sched.schedule
-        in
-        match wal with
-        | Some dir -> (
-            match Wal.Store.create ~metrics:msink ~spans:fspans ~auto_snapshot ~dir svc with
-            | st -> (Some st, svc, None)
-            | exception Sys_error m -> or_die (Error m))
-        | None -> (None, svc, None)
-      end
+      else
+        match (restore, spec, file) with
+        | Some _, Some _, _ | Some _, _, Some _ ->
+            or_die (Error "--restore is mutually exclusive with --generate/--input")
+        | Some path, None, None -> Server.Restore path
+        | None, Some s, None -> Server.Graph (build_spec seed s)
+        | None, None, Some path ->
+            Server.Graph (try Io.read_file path with Failure m -> or_die (Error m))
+        | None, None, None ->
+            or_die (Error "one of --generate, --input or --restore is required")
+        | None, Some _, Some _ -> or_die (Error "--generate and --input are mutually exclusive")
     in
-    (* whatever SIGKILL leaves behind, the drill must find a dump: write
-       one as soon as the store exists, then refresh it periodically *)
-    (match recovery with
-    | Some rv
-      when rv.Wal.Store.rv_tail <> Wal.Clean || rv.Wal.Store.rv_invalid > 0 ->
-        flight_dump "wal-recovery-scrub"
-    | _ -> ());
-    flight_dump "startup";
-    (try
-       Sys.set_signal Sys.sigterm
-         (Sys.Signal_handle
-            (fun _ ->
-              flight_dump "signal-term";
-              exit 143));
-       Sys.set_signal Sys.sigint
-         (Sys.Signal_handle
-            (fun _ ->
-              flight_dump "signal-int";
-              exit 130))
-     with Invalid_argument _ | Sys_error _ -> ());
-    let adm =
-      if max_batch = None && rate = None then None
-      else begin
-        let d = Admission.default_limits in
-        let max_batch = Option.value max_batch ~default:d.Admission.max_batch in
-        let rate = Option.value rate ~default:Float.infinity in
-        (* the bucket must hold at least one full batch or a legal batch
-           could never pay and would defer forever; two rate-ticks of
-           headroom keeps a compliant source out of the deferred path *)
-        let burst = Float.max (float_of_int max_batch) (2. *. rate) in
-        Some
-          (Admission.create ~metrics:msink ~spans:fspans
-             ~limits:{ d with Admission.max_batch; rate; burst }
-             ())
-      end
-    in
-    (* streaming health: window deltas over the metrics registry, one
-       JSONL sample every [health_every] applied batches.  [advance]
-       re-baselines after every sample, so summing a field over all
-       samples reconciles exactly with the final counters. *)
-    let win = Metrics.Window.start reg in
+    if events_file <> None && synth <> None then
+      or_die (Error "--events and --synth are mutually exclusive");
+    let file_batches = Option.map (read_event_batches ~batch) events_file in
     let health_oc = Option.map open_out health_out in
-    let emit_health line =
-      (match health_oc with
+    let on_health line =
+      match health_oc with
       | Some oc ->
           output_string oc line;
           output_char oc '\n';
           flush oc
-      | None -> prerr_endline line);
-      Flight.note_health fr line
+      | None -> prerr_endline line
     in
-    let slo_burned = ref false in
-    let samples = ref 0 in
-    let repair_hist = Metrics.Name.service_repair ^ "_seconds" in
-    let health_sample () =
-      let module W = Metrics.Window in
-      incr samples;
-      let ev = W.counter_delta win Metrics.Name.service_events in
-      let nobs = W.observations win repair_hist in
-      let rs = W.sum_delta win repair_hist in
-      let p50 = W.quantile win repair_hist 0.5 *. 1000. in
-      let p99 = W.quantile win repair_hist 0.99 *. 1000. in
-      let events_per_sec = if rs > 0. then float_of_int ev /. rs else 0. in
-      let qd = match adm with Some a -> Admission.queue_depth a | None -> 0 in
-      let degraded = match adm with Some a -> Admission.degraded a | None -> false in
-      emit_health
-        (Printf.sprintf
-           "{\"health\":%d,\"batches\":%d,\"events\":%d,\"repairs\":%d,\
-            \"events_per_sec\":%s,\"repair_ms_p50\":%s,\"repair_ms_p99\":%s,\
-            \"queue_depth\":%d,\"admitted\":%d,\"deferred\":%d,\"rejected\":%d,\
-            \"shed\":%d,\"wal_bytes\":%d,\"degraded\":%b}"
-           !samples (Service.totals svc).Service.batches ev nobs
-           (num_or_null events_per_sec) (num_or_null p50) (num_or_null p99) qd
-           (W.counter_delta win Metrics.Name.admission_admitted)
-           (W.counter_delta win Metrics.Name.admission_deferred)
-           (W.counter_delta win Metrics.Name.admission_rejected)
-           (W.counter_delta win Metrics.Name.admission_shed)
-           (W.counter_delta win Metrics.Name.wal_bytes)
-           degraded);
-      List.iter
-        (fun (key, bound) ->
-          let burned, actual =
-            match key with
-            | "p99_repair_ms" -> ((not (Float.is_nan p99)) && p99 > bound, p99)
-            | "events_per_sec" -> (nobs > 0 && events_per_sec < bound, events_per_sec)
-            | "queue_depth" -> (float_of_int qd > bound, float_of_int qd)
-            | _ -> (false, 0.)
-          in
-          if burned then begin
-            slo_burned := true;
-            Span.mark fspans "slo.burned"
-              ~args:[ (key, Printf.sprintf "%g" actual) ];
-            emit_health
-              (Printf.sprintf
-                 "{\"alert\":\"slo\",\"slo\":%S,\"bound\":%g,\"actual\":%s,\
-                  \"sample\":%d}"
-                 key bound (num_or_null actual) !samples)
-          end)
-        slos;
-      Metrics.Window.advance win
+    let srv =
+      guard (fun () ->
+          Server.create ~on_health
+            {
+              Server.source;
+              wal;
+              auto_snapshot;
+              flight;
+              max_batch;
+              rate;
+              health_every;
+              slos;
+              check;
+            })
     in
-    let applied = ref 0 in
-    let on_batch () =
-      incr applied;
-      (match health_every with
-      | Some k when !applied mod k = 0 -> health_sample ()
-      | _ -> ());
-      if !applied mod 64 = 0 then flight_dump "periodic"
-    in
+    (try
+       Sys.set_signal Sys.sigterm
+         (Sys.Signal_handle
+            (fun _ ->
+              Server.dump srv "signal-term";
+              exit 143));
+       Sys.set_signal Sys.sigint
+         (Sys.Signal_handle
+            (fun _ ->
+              Server.dump srv "signal-int";
+              exit 130))
+     with Invalid_argument _ | Sys_error _ -> ());
     let batches =
-      match (events_file, synth) with
-      | Some _, Some _ -> or_die (Error "--events and --synth are mutually exclusive")
-      | Some path, None -> read_event_batches path ~batch
+      match (file_batches, synth) with
+      | Some batches, _ -> batches
       | None, Some n ->
-          Service.synth svc ~seed ~events:n ~batch:(if batch = 0 then 8 else batch)
+          Service.synth (Server.service srv) ~seed ~events:n
+            ~batch:(if batch = 0 then 8 else batch)
       | None, None -> []
     in
-    let apply_batch ~lenient evs =
-      (match
-         match store with
-         | Some st -> (Wal.Store.apply st evs : Service.batch)
-         | None -> Service.apply svc evs
-       with
-      | exception Invalid_argument m ->
-          (* under admission control earlier batches may have been shed,
-             so a now-inconsistent batch is expected load-shedding fallout,
-             not a caller bug: skip it and keep serving *)
-          flight_dump "apply-failure";
-          if lenient then Logs.warn (fun k -> k "batch skipped: %s" m)
-          else or_die (Error m)
-      | (_ : Service.batch) -> on_batch ());
-      if check && not (Schedule.valid (Service.schedule svc)) then begin
-        flight_dump "check-divergence";
-        or_die (Error "schedule invalid after batch")
-      end
+    let r =
+      guard (fun () ->
+          List.iter (Server.offer srv) batches;
+          Server.finish ~queries srv)
     in
-    (match adm with
-    | None -> List.iter (apply_batch ~lenient:false) batches
-    | Some adm ->
-        (* synthetic clock: one tick per input batch, so --rate reads as
-           events per batch interval without wall-clock nondeterminism *)
-        let clock = ref 0. in
-        let drain () =
-          let rec go () =
-            match Admission.poll adm ~now:!clock with
-            | Some evs ->
-                apply_batch ~lenient:true evs;
-                go ()
-            | None -> ()
-          in
-          go ()
-        in
-        List.iter
-          (fun evs ->
-            clock := !clock +. 1.;
-            (match Admission.offer adm ~source:0 ~now:!clock evs with
-            | exception Invalid_argument m -> or_die (Error m)
-            | (_ : Admission.outcome) -> ());
-            drain ())
-          batches;
-        (* end of stream: keep ticking until deferred work drains *)
-        let guard = ref 0 in
-        while Admission.queue_depth adm > 0 && !guard < 1_000_000 do
-          incr guard;
-          clock := !clock +. 1.;
-          drain ()
-        done);
-    (* final flush sample: the tail window since the last cadence
-       boundary, so per-field sums over all samples equal the final
-       counters *)
-    (match health_every with Some _ -> health_sample () | None -> ());
-    (match health_oc with Some oc -> close_out oc | None -> ());
-    flight_dump "shutdown";
-    (match store with Some st -> Wal.Store.close st | None -> ());
-    (match snap with
-    | Some path ->
-        let oc = open_out path in
-        Fun.protect
-          ~finally:(fun () -> close_out oc)
-          (fun () -> output_string oc (Service.snapshot svc))
-    | None -> ());
-    let t = Service.totals svc in
-    let g = Service.graph svc in
-    let valid = Schedule.valid (Service.schedule svc) in
-    let hist = Metrics.histogram reg "fdlsp_service_repair_seconds" in
-    let quant q =
-      match hist with
-      | Some h when Metrics.Hist.count h > 0 -> Metrics.Hist.quantile h q *. 1000.
-      | _ -> Float.nan
-    in
-    let repair_secs = match hist with Some h -> Metrics.Hist.sum h | None -> 0. in
-    let events_per_sec =
-      if repair_secs > 0. then float_of_int t.Service.events /. repair_secs else 0.
-    in
+    Option.iter close_out health_oc;
+    Option.iter (fun path -> emit (Some path) (Service.snapshot (Server.service srv))) snap;
+    let num_or_null f = if Float.is_nan f then "null" else Printf.sprintf "%g" f in
     let tail_name = function
       | Wal.Clean -> "clean"
       | Wal.Torn _ -> "torn"
       | Wal.Corrupt _ -> "corrupt"
     in
+    let t = r.Server.totals in
     let buf = Buffer.create 256 in
     if json then begin
-      let recovery_json =
-        match recovery with
-        | None -> ""
-        | Some rv ->
-            Printf.sprintf
-              ",\"recovery\":{\"replayed\":%d,\"covered\":%d,\"invalid\":%d,\
-               \"tail\":\"%s\"}"
-              rv.Wal.Store.rv_replayed rv.Wal.Store.rv_covered rv.Wal.Store.rv_invalid
-              (tail_name rv.Wal.Store.rv_tail)
-      in
-      let admission_json =
-        match adm with
-        | None -> ""
-        | Some adm ->
-            let c = Admission.counts adm in
-            Printf.sprintf
-              ",\"admission\":{\"admitted\":%d,\"deferred\":%d,\"rejected\":%d,\
-               \"shed\":%d,\"released\":%d}"
-              c.Admission.c_admitted c.Admission.c_deferred c.Admission.c_rejected
-              c.Admission.c_shed c.Admission.c_released
-      in
-      Buffer.add_string buf
-        (Printf.sprintf
-           "{\"nodes\":%d,\"live\":%d,\"links\":%d,\"slots\":%d,\"valid\":%b,\
-            \"batches\":%d,\"events\":%d,\"ops\":%d,\"recolored\":%d,\
-            \"events_per_sec\":%s,\"repair_ms_p50\":%s,\"repair_ms_p99\":%s%s%s,\
-            \"queries\":["
-           (Service.nodes svc) (Service.live svc) (Graph.m g) (Service.num_slots svc)
-           valid t.Service.batches t.Service.events t.Service.ops t.Service.recolored
-           (num_or_null events_per_sec)
-           (num_or_null (quant 0.5))
-           (num_or_null (quant 0.99))
-           recovery_json admission_json);
-      List.iteri
-        (fun i (u, v) ->
-          if i > 0 then Buffer.add_char buf ',';
-          Buffer.add_string buf
-            (match Service.slot_of_arc svc u v with
-            | Some c -> Printf.sprintf "{\"u\":%d,\"v\":%d,\"slot\":%d}" u v c
-            | None -> Printf.sprintf "{\"u\":%d,\"v\":%d,\"slot\":null}" u v))
-        queries;
-      Buffer.add_string buf "]}\n"
+      Printf.bprintf buf
+        "{\"nodes\":%d,\"live\":%d,\"links\":%d,\"slots\":%d,\"valid\":%b,\"batches\":%d,\
+         \"events\":%d,\"ops\":%d,\"recolored\":%d,\"events_per_sec\":%s,\
+         \"repair_ms_p50\":%s,\"repair_ms_p99\":%s"
+        r.nodes r.live r.links r.slots r.valid t.Service.batches t.Service.events
+        t.Service.ops t.Service.recolored (num_or_null r.events_per_sec)
+        (num_or_null r.repair_ms_p50) (num_or_null r.repair_ms_p99);
+      Option.iter
+        (fun rv ->
+          Printf.bprintf buf
+            ",\"recovery\":{\"replayed\":%d,\"covered\":%d,\"invalid\":%d,\"tail\":\"%s\"}"
+            rv.Wal.Store.rv_replayed rv.Wal.Store.rv_covered rv.Wal.Store.rv_invalid
+            (tail_name rv.Wal.Store.rv_tail))
+        r.recovery;
+      Option.iter
+        (fun c ->
+          Printf.bprintf buf
+            ",\"admission\":{\"admitted\":%d,\"deferred\":%d,\"rejected\":%d,\"shed\":%d,\
+             \"released\":%d}"
+            c.Admission.c_admitted c.Admission.c_deferred c.Admission.c_rejected
+            c.Admission.c_shed c.Admission.c_released)
+        r.admission;
+      Printf.bprintf buf ",\"queries\":[%s]}\n"
+        (String.concat ","
+           (List.map
+              (fun (u, v, slot) ->
+                Printf.sprintf "{\"u\":%d,\"v\":%d,\"slot\":%s}" u v
+                  (match slot with Some c -> string_of_int c | None -> "null"))
+              r.queries))
     end
     else begin
-      Buffer.add_string buf
-        (Printf.sprintf
-           "nodes=%d live=%d links=%d slots=%d valid=%b batches=%d events=%d ops=%d \
-            recolored=%d events_per_sec=%s repair_ms_p50=%s repair_ms_p99=%s\n"
-           (Service.nodes svc) (Service.live svc) (Graph.m g) (Service.num_slots svc)
-           valid t.Service.batches t.Service.events t.Service.ops t.Service.recolored
-           (num_or_null events_per_sec)
-           (num_or_null (quant 0.5))
-           (num_or_null (quant 0.99)));
-      (match recovery with
-      | None -> ()
-      | Some rv ->
-          Buffer.add_string buf
-            (Printf.sprintf "recovery replayed=%d covered=%d invalid=%d tail=%s\n"
-               rv.Wal.Store.rv_replayed rv.Wal.Store.rv_covered rv.Wal.Store.rv_invalid
-               (tail_name rv.Wal.Store.rv_tail)));
-      (match adm with
-      | None -> ()
-      | Some adm ->
-          let c = Admission.counts adm in
-          Buffer.add_string buf
-            (Printf.sprintf
-               "admission admitted=%d deferred=%d rejected=%d shed=%d released=%d\n"
-               c.Admission.c_admitted c.Admission.c_deferred c.Admission.c_rejected
-               c.Admission.c_shed c.Admission.c_released));
+      Printf.bprintf buf
+        "nodes=%d live=%d links=%d slots=%d valid=%b batches=%d events=%d ops=%d \
+         recolored=%d events_per_sec=%s repair_ms_p50=%s repair_ms_p99=%s\n"
+        r.nodes r.live r.links r.slots r.valid t.Service.batches t.Service.events
+        t.Service.ops t.Service.recolored (num_or_null r.events_per_sec)
+        (num_or_null r.repair_ms_p50) (num_or_null r.repair_ms_p99);
+      Option.iter
+        (fun rv ->
+          Printf.bprintf buf "recovery replayed=%d covered=%d invalid=%d tail=%s\n"
+            rv.Wal.Store.rv_replayed rv.Wal.Store.rv_covered rv.Wal.Store.rv_invalid
+            (tail_name rv.Wal.Store.rv_tail))
+        r.recovery;
+      Option.iter
+        (fun c ->
+          Printf.bprintf buf
+            "admission admitted=%d deferred=%d rejected=%d shed=%d released=%d\n"
+            c.Admission.c_admitted c.Admission.c_deferred c.Admission.c_rejected
+            c.Admission.c_shed c.Admission.c_released)
+        r.admission;
       List.iter
-        (fun (u, v) ->
-          Buffer.add_string buf
-            (match Service.slot_of_arc svc u v with
-            | Some c -> Printf.sprintf "arc %d->%d slot=%d\n" u v c
-            | None -> Printf.sprintf "arc %d->%d none\n" u v))
-        queries
+        (fun (u, v, slot) ->
+          match slot with
+          | Some c -> Printf.bprintf buf "arc %d->%d slot=%d\n" u v c
+          | None -> Printf.bprintf buf "arc %d->%d none\n" u v)
+        r.queries
     end;
     emit out (Buffer.contents buf);
-    if !slo_burned then exit 1
+    if r.slo_burned then exit 1
   in
   Cmd.v
     (Cmd.info "serve"
@@ -1700,18 +1354,14 @@ let validate_cmd =
   in
   let run graph sched_file =
     let g = or_die graph in
-    match Schedule.read_file g sched_file with
-    | exception Failure m ->
-        prerr_endline ("fdlsp: " ^ m);
-        exit 1
-    | sched -> (
-        match Schedule.validate sched with
-        | Ok () ->
-            Printf.printf "valid: %d slots over %d arcs\n" (Schedule.num_slots sched)
-              (2 * Graph.m g)
-        | Error v ->
-            Printf.printf "INVALID: %s\n" (Format.asprintf "%a" (Schedule.pp_violation g) v);
-            exit 2)
+    let sched = try Schedule.read_file g sched_file with Failure m -> or_die (Error m) in
+    match Schedule.validate sched with
+    | Ok () ->
+        Printf.printf "valid: %d slots over %d arcs\n" (Schedule.num_slots sched)
+          (2 * Graph.m g)
+    | Error v ->
+        Printf.printf "INVALID: %s\n" (Format.asprintf "%a" (Schedule.pp_violation g) v);
+        exit 2
   in
   Cmd.v
     (Cmd.info "validate" ~doc:"Check a saved schedule against a graph")

@@ -112,7 +112,6 @@ let create ?(metrics = Metrics.null) ?(spans = Span.null) ?(limits = default_lim
 
 let queue_depth t = t.depth
 let degraded t = t.degraded
-let limits t = t.lim
 
 let counts t =
   {

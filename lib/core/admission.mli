@@ -108,4 +108,3 @@ val queue_depth : t -> int
 
 val degraded : t -> bool
 val counts : t -> counts
-val limits : t -> limits

@@ -480,7 +480,7 @@ let coalesce t events =
      sound batch-wide (dropping a single no-op move next to a live move
      could drop a link only the no-op mover still names), and it must
      not mask validation: moves naming out-of-range or self neighbors
-     fall through so [apply_ops] still raises on them. *)
+     fall through so [prepare_ops] still raises on them. *)
   let noop_move (v, nbrs_l) =
     v < t.n && t.alive.(v)
     && List.for_all (fun w -> w >= 0 && w < t.n && w <> v) nbrs_l
@@ -540,8 +540,12 @@ let clashes t x y c =
    [Bounds.upper] that carried colors could otherwise outgrow as the
    graph shrinks.  Every step reads and writes only the rows of the
    nodes the batch touches; the coloring is the one a rebuild of the
-   whole post-batch graph followed by the same passes would produce. *)
-let apply_ops t ops ~n_events =
+   whole post-batch graph followed by the same passes would produce.
+
+   [prepare_ops] only reads [t]: it validates the batch, raising
+   [Invalid_argument] on the first bad op, and returns the repair that
+   applies it and cannot fail. *)
+let prepare_ops t ops ~n_events =
   let invalid fmt = Printf.ksprintf invalid_arg fmt in
   let leaves = List.filter_map (function Op_leave v -> Some v | _ -> None) ops in
   let moves = List.filter_map (function Op_move (v, l) -> Some (v, l) | _ -> None) ops in
@@ -585,7 +589,7 @@ let apply_ops t ops ~n_events =
           if w = v then invalid "Service: node %d links to itself" v)
         nbrs)
     resets;
-  (* validated: from here on the batch cannot fail *)
+  fun () ->
   Span.span t.spans "service.rebuild" (fun () ->
       if n' > Array.length t.alive then begin
         t.alive <- grow t.alive n' false;
@@ -688,9 +692,12 @@ let apply t events =
   let ops = Span.span t.spans "service.coalesce" (fun () -> coalesce t events) in
   let b =
     Span.span t.spans "service.repair" @@ fun () ->
+    (* validate before the timer starts: a batch [apply] rejects is not
+       a repair, so it must not reach the repair histogram *)
+    let repair = match ops with [] -> None | ops -> Some (prepare_ops t ops ~n_events) in
     Metrics.timed t.metrics Name.service_repair (fun () ->
-        match ops with
-        | [] ->
+        match repair with
+        | None ->
             (* empty net batch: fast path, zero arcs touched *)
             {
               b_events = n_events;
@@ -700,7 +707,7 @@ let apply t events =
               b_touched_frac = 0.;
               b_slots = t.slots;
             }
-        | ops -> apply_ops t ops ~n_events)
+        | Some repair -> repair ())
   in
   t.t_batches <- t.t_batches + 1;
   t.t_events <- t.t_events + n_events;

@@ -166,7 +166,6 @@ module Store = struct
     t.oc <- open_append path
 
   let service t = t.svc
-  let dir t = t.s_dir
   let wal_segments t = t.segments
 
   let write_snapshot t =

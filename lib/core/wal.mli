@@ -122,7 +122,6 @@ module Store : sig
       kept by the store as in {!create}. *)
 
   val service : t -> Service.t
-  val dir : t -> string
 
   val apply : t -> Service.event list -> Service.batch
   (** Append the batch's segment (flushed) {e before} running

@@ -1,34 +1,26 @@
-(* Always-on flight recorder: bundles a bounded span ring, a bounded
-   trace ring, and a bounded queue of recent health samples, and dumps
-   all three atomically (tmp + rename, like snapshots) when something
-   goes wrong.  The dump is sectioned JSONL so [fdlsp doctor] — and
+(* Always-on flight recorder: bundles a bounded span ring and a bounded
+   queue of recent health samples, and dumps both atomically (tmp +
+   rename, like snapshots) when something goes wrong.  The dump is sectioned JSONL so [fdlsp doctor] — and
    humans with grep — can reconstruct the last seconds before a crash
    without any other state. *)
 
 type t = {
   spans : Span.sink;
-  trace : Trace.sink;
   health_cap : int;
   health : string Queue.t;
-  mutable health_seen : int;
 }
 
-let create ?(span_capacity = 8192) ?(trace_capacity = 8192) ?(health_capacity = 256)
-    () =
+let create ?(span_capacity = 8192) ?(health_capacity = 256) () =
   if health_capacity < 1 then invalid_arg "Flight.create: health_capacity must be >= 1";
   {
     spans = Span.recorder ~capacity:span_capacity ();
-    trace = Trace.memory ~capacity:trace_capacity ();
     health_cap = health_capacity;
     health = Queue.create ();
-    health_seen = 0;
   }
 
 let spans t = t.spans
-let trace t = t.trace
 
 let note_health t line =
-  t.health_seen <- t.health_seen + 1;
   Queue.add line t.health;
   if Queue.length t.health > t.health_cap then ignore (Queue.pop t.health)
 
@@ -51,32 +43,19 @@ let dump t ~reason path =
     Buffer.add_char buf '\n'
   in
   let span_entries = Span.entries t.spans in
-  let trace_events = Trace.events t.trace in
   line
     (Printf.sprintf
-       {|{"flight":"fdlsp","version":1,"reason":"%s","t":%.6f,"spans":%d,"spans_overwritten":%d,"trace":%d,"trace_overwritten":%d,"health":%d,"open":[%s]}|}
-       (String.concat ""
-          (List.map
-             (fun c ->
-               match c with
-               | '"' -> "\\\""
-               | '\\' -> "\\\\"
-               | '\n' -> "\\n"
-               | c -> String.make 1 c)
-             (List.init (String.length reason) (String.get reason))))
+       {|{"flight":"fdlsp","version":1,"reason":"%s","t":%.6f,"spans":%d,"spans_overwritten":%d,"health":%d,"open":[%s]}|}
+       (Json.escape reason)
        (* dump labels are for humans: wall-clock, not the monotone clamp *)
        (Clock.wall ())
        (Array.length span_entries)
        (Span.overwritten t.spans)
-       (Array.length trace_events)
-       (Trace.overwritten t.trace)
        (Queue.length t.health)
        (String.concat ","
-          (List.map (fun n -> Printf.sprintf "%S" n) (Span.open_spans t.spans))));
+          (List.map (fun n -> "\"" ^ Json.escape n ^ "\"") (Span.open_spans t.spans))));
   line {|{"section":"spans"}|};
   Array.iter (fun e -> line (Span.entry_to_json e)) span_entries;
-  line {|{"section":"trace"}|};
-  Array.iter (fun e -> line (Trace.event_to_json e)) trace_events;
   line {|{"section":"health"}|};
   Queue.iter (fun h -> line h) t.health;
   line {|{"end":true}|};
@@ -91,23 +70,13 @@ type dump = {
   d_time : float;
   d_spans : Span.entry array;
   d_spans_overwritten : int;
-  d_trace : Trace.timed array;
-  d_trace_overwritten : int;
   d_health : string list;
   d_open : string list;
   d_complete : bool;
 }
 
 let load path =
-  let ic = open_in path in
-  let lines = ref [] in
-  (try
-     while true do
-       lines := input_line ic :: !lines
-     done
-   with End_of_file -> close_in ic);
-  let lines = List.rev !lines in
-  match lines with
+  match In_channel.with_open_text path In_channel.input_lines with
   | [] -> failwith "Flight.load: empty dump"
   | header :: rest ->
       let j =
@@ -129,12 +98,13 @@ let load path =
             List.filter_map (function Json.Str s -> Some s | _ -> None) xs
         | _ -> []
       in
-      let spans = ref [] and trace = ref [] and health = ref [] in
+      let spans = ref [] and health = ref [] in
       let complete = ref false in
       let section = ref "" in
       (* a line that fails to parse can only be the torn tail of an
          interrupted write: keep everything before it and stop — the
-         missing end marker reports the dump as incomplete *)
+         missing end marker reports the dump as incomplete.  Dumps from
+         older writers carry a "trace" section, skipped line by line. *)
       let exception Torn in
       (try
          List.iter
@@ -149,10 +119,7 @@ let load path =
                    match Span.entry_of_json l with
                    | e -> spans := e :: !spans
                    | exception _ -> raise Torn)
-               | "trace" -> (
-                   match Trace.event_of_json l with
-                   | e -> trace := e :: !trace
-                   | exception _ -> raise Torn)
+               | "trace" -> ()
                | "health" -> health := l :: !health
                | _ -> failwith "Flight.load: content before first section")
            rest
@@ -162,8 +129,6 @@ let load path =
         d_time = num "t" 0.;
         d_spans = Array.of_list (List.rev !spans);
         d_spans_overwritten = int_of_float (num "spans_overwritten" 0.);
-        d_trace = Array.of_list (List.rev !trace);
-        d_trace_overwritten = int_of_float (num "trace_overwritten" 0.);
         d_health = List.rev !health;
         d_open = d_open;
         d_complete = !complete;
@@ -180,30 +145,15 @@ let take_last n l =
 let pp_story ppf d =
   let span_entries = d.d_spans in
   let n_spans = Array.length span_entries in
-  let window =
-    if n_spans = 0 then 0.
-    else
-      let t0 = ref infinity and t1 = ref neg_infinity in
-      Array.iter
-        (fun e ->
-          let t = match e with
-            | Span.Begin b -> b.t
-            | Span.End_ e -> e.t
-            | Span.Mark m -> m.t
-          in
-          if t < !t0 then t0 := t;
-          if t > !t1 then t1 := t)
-        span_entries;
-      !t1 -. !t0
-  in
+  let times = Array.map Span.entry_time span_entries in
+  let t_end = Array.fold_left Float.max neg_infinity times in
+  let window = if n_spans = 0 then 0. else t_end -. Array.fold_left Float.min infinity times in
   Fmt.pf ppf "flight-recorder dump@.";
   Fmt.pf ppf "  reason:     %s@." d.d_reason;
   Fmt.pf ppf "  captured:   %.6f (unix)@." d.d_time;
   Fmt.pf ppf "  complete:   %b@." d.d_complete;
   Fmt.pf ppf "  window:     %.3f s of spans (%d entries, %d overwritten)@." window
     n_spans d.d_spans_overwritten;
-  Fmt.pf ppf "  trace:      %d events (%d overwritten)@." (Array.length d.d_trace)
-    d.d_trace_overwritten;
   Fmt.pf ppf "  health:     %d samples@." (List.length d.d_health);
   (match d.d_open with
   | [] -> ()
@@ -215,19 +165,7 @@ let pp_story ppf d =
   | Error e -> Fmt.pf ppf "  span nesting: truncated/damaged (%s)@." e);
   if n_spans > 0 then begin
     Fmt.pf ppf "  last spans:@.";
-    let t_end =
-      Array.fold_left
-        (fun acc e ->
-          Float.max acc
-            (match e with
-            | Span.Begin b -> b.t
-            | Span.End_ e -> e.t
-            | Span.Mark m -> m.t))
-        neg_infinity span_entries
-    in
-    let tail =
-      take_last 12 (Array.to_list span_entries)
-    in
+    let tail = take_last 12 (Array.to_list span_entries) in
     List.iter
       (fun e ->
         match e with

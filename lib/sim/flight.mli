@@ -1,8 +1,7 @@
 (** Always-on flight recorder.
 
-    Bundles a bounded {!Span} ring, a bounded {!Trace} memory sink, and
-    a bounded queue of recent health-sample lines; {!dump} writes all
-    three atomically (tmp + rename, the same discipline as snapshots)
+    Bundles a bounded {!Span} ring and a bounded queue of recent
+    health-sample lines; {!dump} writes both atomically (tmp + rename, the same discipline as snapshots)
     to a sectioned-JSONL crash-dump file that {!load} and
     [fdlsp doctor] can reconstruct without any other state.
 
@@ -13,18 +12,13 @@
 
 type t
 
-val create :
-  ?span_capacity:int -> ?trace_capacity:int -> ?health_capacity:int -> unit -> t
-(** Fresh recorder. Defaults: 8192 span entries, 8192 trace events,
-    256 health lines — a few MB at absolute worst, covering tens of
-    seconds of serve activity (see DESIGN.md §16 for the sizing
-    argument). *)
+val create : ?span_capacity:int -> ?health_capacity:int -> unit -> t
+(** Fresh recorder. Defaults: 8192 span entries and 256 health lines —
+    about a megabyte at worst, covering several dozen batches of serve
+    activity (see DESIGN.md §16 for the sizing argument). *)
 
 val spans : t -> Span.sink
 (** The span sink to thread through engines and the serve path. *)
-
-val trace : t -> Trace.sink
-(** The trace sink to thread alongside. *)
 
 val note_health : t -> string -> unit
 (** Append one (JSONL) health-sample line to the bounded queue. *)
@@ -32,17 +26,14 @@ val note_health : t -> string -> unit
 val dump : t -> reason:string -> string -> unit
 (** [dump t ~reason path] atomically writes the current rings to
     [path]. Sections: a header line (reason, counts, open spans),
-    ["spans"] ({!Span.entry_to_json} lines), ["trace"]
-    ({!Trace.event_to_json} lines), ["health"] (raw lines), and an
-    end marker proving the dump is complete. *)
+    ["spans"] ({!Span.entry_to_json} lines), ["health"] (raw lines),
+    and an end marker proving the dump is complete. *)
 
 type dump = {
   d_reason : string;
   d_time : float;  (** unix time at capture *)
   d_spans : Span.entry array;
   d_spans_overwritten : int;
-  d_trace : Trace.timed array;
-  d_trace_overwritten : int;
   d_health : string list;
   d_open : string list;  (** spans open at capture, innermost first *)
   d_complete : bool;  (** end marker present *)
@@ -50,6 +41,8 @@ type dump = {
 
 val load : string -> dump
 (** Parse a dump file back.
+    Dumps from older writers may carry a ["trace"] section; it is
+    skipped.
     @raise Failure on files that are not flight-recorder dumps or are
     damaged beyond the trailing-truncation the format tolerates. *)
 

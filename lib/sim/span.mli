@@ -87,6 +87,8 @@ val to_folded : entry array -> string
     lost to wraparound are skipped; still-open spans contribute
     nothing. *)
 
+val entry_time : entry -> float
+
 val entry_to_json : entry -> string
 (** One-line JSON encoding, used by flight-recorder dumps. *)
 

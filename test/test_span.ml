@@ -221,7 +221,6 @@ let populated_flight () =
   let g = fst (Gen.udg (rng ()) ~n:12 ~side:4. ~radius:1.4) in
   let (_ : Dist_mis.result) =
     Dist_mis.run
-      ~trace:(Flight.trace fr)
       ~spans:(Flight.spans fr)
       ~mis:Mis.Local_min ~variant:Dist_mis.General g
   in
@@ -240,7 +239,6 @@ let test_flight_roundtrip () =
         (Array.length d.Flight.d_spans + d.Flight.d_spans_overwritten);
       Alcotest.(check (list string)) "health tail kept" [ {|{"health":1}|}; {|{"health":2}|} ]
         d.Flight.d_health;
-      Alcotest.(check bool) "trace captured" true (Array.length d.Flight.d_trace > 0);
       Alcotest.(check (list string)) "no open spans at dump" [] d.Flight.d_open;
       (* the story renderer must cope with whatever load returns *)
       let story = Format.asprintf "%a" Flight.pp_story d in
@@ -268,6 +266,26 @@ let test_flight_truncation_tolerated () =
       let d = Flight.load path in
       Alcotest.(check bool) "incomplete flagged" false d.Flight.d_complete;
       ignore (Format.asprintf "%a" Flight.pp_story d))
+
+(* Older writers dumped a "trace" section between spans and health;
+   load skips it and keeps the rest. *)
+let test_flight_skips_trace_section () =
+  with_temp (fun path ->
+      let oc = open_out path in
+      output_string oc
+        {|{"flight":"fdlsp","version":1,"reason":"old","t":1.5,"spans":0,"spans_overwritten":0,"trace":1,"trace_overwritten":0,"health":1,"open":[]}
+{"section":"spans"}
+{"section":"trace"}
+{"ev":"phase","t":0,"label":"dmgc","scale":1}
+{"section":"health"}
+{"health":1}
+{"end":true}
+|};
+      close_out oc;
+      let d = Flight.load path in
+      Alcotest.(check string) "reason" "old" d.Flight.d_reason;
+      Alcotest.(check bool) "complete" true d.Flight.d_complete;
+      Alcotest.(check (list string)) "health kept" [ {|{"health":1}|} ] d.Flight.d_health)
 
 let test_flight_rejects_garbage () =
   with_temp (fun path ->
@@ -359,6 +377,8 @@ let () =
           Alcotest.test_case "dump/load round-trip" `Quick test_flight_roundtrip;
           Alcotest.test_case "truncation tolerated" `Quick
             test_flight_truncation_tolerated;
+          Alcotest.test_case "older dumps with a trace section load" `Quick
+            test_flight_skips_trace_section;
           Alcotest.test_case "garbage rejected" `Quick test_flight_rejects_garbage;
         ] );
       ( "window",
