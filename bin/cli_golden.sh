@@ -47,6 +47,8 @@ echo "### serve --rate deferrals, burned queue_depth SLO, --health-out"
 code "$cli" serve $g --synth 60 --batch 4 --max-batch 5 --rate 3 --health-every 3 \
   --slo queue_depth=4 --health-out "h.jsonl" --json
 mask <"h.jsonl"
+echo "### serve --rate far below the stream: the end-of-stream drain applies every deferred batch"
+code "$cli" serve $g --synth 40 --batch 4 --max-batch 5 --rate 0.000001 --json
 echo "### serve --health-every with a generous SLO"
 code "$cli" serve $g --synth 40 --batch 6 --check --health-every 2 \
   --health-out "h2.jsonl" --slo p99_repair_ms=100000 --slo events_per_sec=0

@@ -135,11 +135,13 @@ let bucket_for t source now =
       Hashtbl.replace t.buckets source b;
       b
 
+(* What [b] holds at [now], no earlier than its last refill. *)
+let tokens_at t b now =
+  if t.lim.rate = Float.infinity then t.lim.burst
+  else Float.min t.lim.burst (b.tokens +. ((now -. b.refilled) *. t.lim.rate))
+
 let refill t b now =
-  if t.lim.rate = Float.infinity then b.tokens <- t.lim.burst
-  else
-    b.tokens <-
-      Float.min t.lim.burst (b.tokens +. ((now -. b.refilled) *. t.lim.rate));
+  b.tokens <- tokens_at t b now;
   b.refilled <- now
 
 (* Hysteresis on queue fill; mirrored into the degraded gauge. *)
@@ -287,10 +289,13 @@ let rec poll t ~now =
   match Queue.take_opt t.ready with
   | Some e -> release e
   | None ->
-      (* first deferred batch whose source can pay now; scanning past a
-         still-broke source keeps one flooder from blocking the rest *)
-      let rec scan acc = function
+      (* the first source whose oldest deferred batch it can pay for
+         now; scanning past a still-broke source keeps one flooder from
+         blocking the rest, and skipping that source's later batches
+         keeps its own stream in order *)
+      let rec scan acc broke = function
         | [] -> None
+        | e :: rest when List.mem e.e_source broke -> scan (e :: acc) broke rest
         | e :: rest ->
             let b = bucket_for t e.e_source now in
             refill t b now;
@@ -301,6 +306,40 @@ let rec poll t ~now =
               t.released <- t.released + 1;
               release e
             end
-            else scan (e :: acc) rest
+            else scan (e :: acc) (e.e_source :: broke) rest
       in
-      scan [] t.deferred
+      scan [] [] t.deferred
+
+(* The first [now] at which [b] holds [cost] tokens, or [None] past its
+   capacity.  Solves the refill line, then steps forward until
+   [tokens_at] itself agrees, so a [poll] at that time pays. *)
+let payable_at t b cost =
+  if cost > t.lim.burst then None
+  else begin
+    let from =
+      if t.lim.rate = Float.infinity then t.last_now
+      else Float.max t.last_now (b.refilled +. ((cost -. b.tokens) /. t.lim.rate))
+    in
+    let rec settle at step =
+      if tokens_at t b at >= cost then at else settle (at +. step) (2. *. step)
+    in
+    Some (settle from (Float.succ from -. from))
+  end
+
+let next_release t =
+  if not (Queue.is_empty t.ready) then Some t.last_now
+  else
+    (* only each source's oldest deferred batch is eligible *)
+    let rec earliest best seen = function
+      | [] -> best
+      | e :: rest when List.mem e.e_source seen -> earliest best seen rest
+      | e :: rest ->
+          let at = payable_at t (Hashtbl.find t.buckets e.e_source) (float_of_int e.e_cost) in
+          let best =
+            match (best, at) with
+            | Some b, Some a -> Some (Float.min a b)
+            | None, at | at, None -> at
+          in
+          earliest best (e.e_source :: seen) rest
+    in
+    earliest None [] t.deferred

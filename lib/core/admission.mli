@@ -98,9 +98,18 @@ val offer : t -> source:int -> now:float -> Service.event list -> outcome
 
 val poll : t -> now:float -> Service.event list option
 (** Release the next ready batch in arrival order: first any admitted
-    batch, then deferred batches whose source bucket can now pay.
+    batch, then the oldest deferred batch of the first source whose
+    bucket can now pay for it.
     Batches shed down to empty are dropped silently (their events were
     already counted).  [None] when nothing can be released at [now]. *)
+
+val next_release : t -> float option
+(** The earliest [now] at which {!poll} releases a batch if nothing
+    more is offered: the last [now] seen while an admitted batch is
+    queued, otherwise the moment the first source can pay for its
+    oldest deferred batch.  [None] when nothing queued can ever be
+    released — the queue is empty, or every such batch costs more than
+    [burst]. *)
 
 val queue_depth : t -> int
 (** Queued events, ready + deferred — never exceeds

@@ -50,6 +50,10 @@ type t = {
   on_health : string -> unit;
   mutable clock : float;
   mutable applied : int;
+  mutable offered_events : int;
+  mutable applied_events : int;
+  mutable skipped_events : int;
+  mutable rejected_events : int;
   mutable samples : int;
   mutable slo_burned : bool;
 }
@@ -137,6 +141,10 @@ let create ?(on_health = ignore) cfg =
       on_health;
       clock = 0.;
       applied = 0;
+      offered_events = 0;
+      applied_events = 0;
+      skipped_events = 0;
+      rejected_events = 0;
       samples = 0;
       slo_burned = false;
     }
@@ -209,10 +217,12 @@ let apply t ~lenient evs =
      | None -> Service.apply t.svc evs
    with
   | exception Invalid_argument m ->
+      t.skipped_events <- t.skipped_events + List.length evs;
       dump t "apply-failure";
       if lenient then Log.warn (fun k -> k "batch skipped: %s" m) else fail m
   | (_ : Service.batch) ->
       t.applied <- t.applied + 1;
+      t.applied_events <- t.applied_events + List.length evs;
       (match t.cfg.health_every with
       | Some k when t.applied mod k = 0 -> health_sample t
       | _ -> ());
@@ -231,12 +241,14 @@ let rec drain t adm =
 
 let offer t evs =
   t.clock <- t.clock +. 1.;
+  t.offered_events <- t.offered_events + List.length evs;
   match t.adm with
   | None -> apply t ~lenient:false evs
   | Some adm ->
       (match Admission.offer adm ~source:0 ~now:t.clock evs with
       | exception Invalid_argument m -> fail m
-      | (_ : Admission.outcome) -> ());
+      | Admission.Rejected _ -> t.rejected_events <- t.rejected_events + List.length evs
+      | Admission.Admitted | Admission.Deferred -> ());
       drain t adm
 
 type summary = {
@@ -253,19 +265,29 @@ type summary = {
   admission : Admission.counts option;
   queries : (int * int * int option) list;
   slo_burned : bool;
+  offered : int;
+  applied : int;
+  skipped : int;
+  rejected : int;
 }
 
 let finish ?(queries = []) t =
-  (* end of stream: keep ticking until deferred work drains *)
+  (* end of stream: jump the clock to each next release until the queue
+     is empty; [create] sizes every bucket to hold a whole batch, so
+     every deferred batch becomes payable *)
   (match t.adm with
   | None -> ()
   | Some adm ->
-      let guard = ref 0 in
-      while Admission.queue_depth adm > 0 && !guard < 1_000_000 do
-        incr guard;
-        t.clock <- t.clock +. 1.;
-        drain t adm
-      done);
+      let rec go () =
+        match Admission.next_release adm with
+        | Some at ->
+            t.clock <- Float.max t.clock at;
+            drain t adm;
+            go ()
+        | None -> ()
+      in
+      go ();
+      assert (Admission.queue_depth adm = 0));
   (* the tail window since the last cadence boundary, so per-field sums
      over all samples equal the final counters *)
   if t.cfg.health_every <> None then health_sample t;
@@ -295,4 +317,8 @@ let finish ?(queries = []) t =
     admission = Option.map Admission.counts t.adm;
     queries = List.map (fun (u, v) -> (u, v, Service.slot_of_arc svc u v)) queries;
     slo_burned = t.slo_burned;
+    offered = t.offered_events;
+    applied = t.applied_events;
+    skipped = t.skipped_events;
+    rejected = t.rejected_events;
   }

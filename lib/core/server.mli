@@ -5,7 +5,7 @@
 
     The loop runs on a synthetic clock, one tick per offered batch, so
     admission's [rate] reads as events per batch interval and every run
-    is deterministic.  The server owns its metrics registry and flight
+    is deterministic; at {!finish} it jumps to each deferred release.  The server owns its metrics registry and flight
     recorder and threads them through everything it builds; callers
     read them through {!metrics} and {!recorder}.
 
@@ -100,10 +100,20 @@ type summary = {
   admission : Admission.counts option;
   queries : (int * int * int option) list;  (** [(u, v, slot of u -> v)] *)
   slo_burned : bool;  (** some SLO burned on some sample *)
+  offered : int;  (** events handed to {!offer} *)
+  applied : int;  (** events in the batches the service applied *)
+  skipped : int;  (** events in the batches the service rejected *)
+  rejected : int;  (** events in the batches admission control rejected *)
 }
+(** Every offered event is accounted for exactly once:
+    [offered = applied + skipped + rejected + shed], with [shed] the
+    admission counts' [c_shed] (0 without admission control).  The
+    counts cover this run only; [totals] also carries what a restored
+    or recovered service had applied before. *)
 
 val finish : ?queries:(int * int) list -> t -> summary
-(** Drain deferred batches (ticking the clock until the admission queue
-    is empty), emit the final health sample, write the shutdown dump,
-    close the WAL store, and summarize — answering [queries] on the
-    final schedule.  The service stays readable through {!service}. *)
+(** Drain deferred batches (jumping the clock to each
+    {!Admission.next_release} until the admission queue is empty), emit
+    the final health sample, write the shutdown dump, close the WAL
+    store, and summarize — answering [queries] on the final schedule.
+    The service stays readable through {!service}. *)

@@ -524,23 +524,28 @@ let first_free t x y =
   done;
   !c
 
-let clashes t x y c =
-  let hit = ref false in
-  iter_conflict_colors t x y (fun c' -> if c' = c then hit := true);
-  !hit
-
 (* Survivor links (no endpoint dead, reset, or degraded) keep their
    colors; every link of a reset (joined/moved) node is fresh and its
-   two arcs are first-fit recolored.  Any pair of arcs brought into
-   conflict by a batch owes its new adjacency to a fresh link, and
-   every fresh link has a reset endpoint — so one of the pair is always
-   recolored against the other and a single pass restores validity.  A
-   fixup over the touched neighborhood re-checks that argument at
-   runtime, and the refine pass enforces the Lemma-6 budget
-   [Bounds.upper] that carried colors could otherwise outgrow as the
-   graph shrinks.  Every step reads and writes only the rows of the
-   nodes the batch touches; the coloring is the one a rebuild of the
-   whole post-batch graph followed by the same passes would produce.
+   two arcs are first-fit recolored in one pass.  That pass alone
+   leaves a Definition-2 valid schedule, given a valid one before the
+   batch:
+   (a) removing links (leaves, resets, degrades) never creates a
+       conflict: conflicts only need adjacency, and removal takes some
+       away;
+   (b) every link the batch adds has a reset endpoint, and [unlink_all]
+       has stripped every reset node of its old links, so no surviving
+       arc touches a reset node.  Two arcs that did not conflict come
+       to conflict only through a new link joining an endpoint of one
+       to an endpoint of the other, so no two surviving arcs can;
+   (c) fresh arcs are first-fit one at a time on the final topology
+       against every colored conflicting arc, so each pair involving a
+       fresh arc differs, whichever of the two was colored second;
+   (d) refine recolors with the same [first_free], so it keeps (c).
+   The refine pass enforces the Lemma-6 budget [Bounds.upper] that
+   carried colors could otherwise outgrow as the graph shrinks.  Every
+   step reads and writes only the rows of the nodes the batch touches;
+   the coloring is the one a rebuild of the whole post-batch graph
+   followed by the same passes would produce.
 
    [prepare_ops] only reads [t]: it validates the batch, raising
    [Invalid_argument] on the first bad op, and returns the repair that
@@ -641,28 +646,6 @@ let prepare_ops t ops ~n_events =
             if r.in_c.(i) < 0 then recolor w v
           done)
         reset_nodes);
-  (* fixup: re-check the touched neighborhood (see the argument above —
-     expected to find nothing, kept as a runtime safety net) *)
-  let tnodes =
-    List.concat_map
-      (fun v ->
-        let r = own_row t v in
-        v :: Array.to_list (Array.sub r.nbr 0 r.len))
-      reset_nodes
-    |> List.sort_uniq compare
-  in
-  Span.span t.spans "service.fixup" (fun () ->
-      List.iter
-        (fun v ->
-          let r = own_row t v in
-          for i = 0 to r.len - 1 do
-            let w = r.nbr.(i) in
-            let c = r.out_c.(i) in
-            if c >= 0 && clashes t v w c then recolor v w;
-            let c = r.in_c.(i) in
-            if c >= 0 && clashes t w v c then recolor w v
-          done)
-        tnodes);
   (* refine: pull carried colors back under the current slot budget,
      [Bounds.upper] = 2Δ², in arc-id order of the post-batch graph *)
   if t.refine then

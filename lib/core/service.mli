@@ -103,9 +103,8 @@ val create :
     ["service.repair"] span whose children break the repair down into
     ["service.rebuild"] (the overlay edit, and the compaction when
     {!apply} compacts on its own),
-    ["service.recolor"] (coarse first-fit), ["service.fixup"]
-    (touched-neighborhood re-check) and ["service.refine"] (slot-budget
-    enforcement). *)
+    ["service.recolor"] (first-fit of the batch's fresh arcs) and
+    ["service.refine"] (slot-budget enforcement). *)
 
 (** {1 Queries} *)
 

@@ -158,10 +158,10 @@ let run ?(faults = Fault.none) ?reliable ?engine ?(trace = Trace.null)
           payload)
       inbox;
     (* 2. detect and repair own arcs, in arc order.  An arc must move
-       when it is uncolored or clashes with a conflicting arc of higher
-       priority — lower (owner, arc) wins and keeps its slot, so the
-       globally smallest conflicting arc never moves and chains resolve
-       toward higher ids: no livelock. *)
+       when it is uncolored or shares its color with a conflicting arc
+       of higher priority — lower (owner, arc) wins and keeps its slot,
+       so the globally smallest conflicting arc never moves and chains
+       resolve toward higher ids: no livelock. *)
     Array.iter
       (fun a ->
         let c = st.view.(a) in

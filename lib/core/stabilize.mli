@@ -10,7 +10,7 @@
     [u] detect every Definition-2 conflict of its own arcs {e locally}.
     A conflicting or uncolored arc is recolored first-fit against the
     view, under a deterministic priority rule — an arc moves only when
-    it clashes with a {e lexicographically smaller} [(owner, arc)] pair,
+    it conflicts with a {e lexicographically smaller} [(owner, arc)] pair,
     i.e. the lower node id wins the round and keeps its slot — so the
     globally smallest conflicting arc never moves and repair chains
     terminate instead of livelocking.

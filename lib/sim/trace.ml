@@ -598,7 +598,7 @@ module Replay = struct
 
   (* Decision check: rebuild the schedule color by color, insisting each
      assignment is made by an endpoint of the arc, never re-colors, and
-     never clashes with an earlier decision. *)
+     never conflicts with an earlier decision. *)
   let check_decisions g evs =
     let module S = Fdlsp_color.Schedule in
     let narcs = Arc.count g in
@@ -622,7 +622,7 @@ module Replay = struct
             Fdlsp_color.Conflict.iter_conflicting ~scratch g arc (fun b ->
                 if S.get sched b = slot then
                   rejectf
-                    "event %d: arc %d slot %d clashes with earlier decision on arc %d" i
+                    "event %d: arc %d slot %d conflicts with earlier decision on arc %d" i
                     arc slot b);
             S.set sched arc slot
         | _ -> ())

@@ -3,7 +3,8 @@
    function for differential tests.  Every batch rebuilds the whole
    post-batch graph with [Graph.create], carries survivor colors over
    by arc id, first-fits every arc of a reset node with
-   [Greedy.first_free], re-checks the touched neighborhood, and
+   [Greedy.first_free], asserts that the touched neighborhood has no
+   clash left (raising [Failure] naming the arcs if it has), and
    enforces [Bounds.upper] by scanning every arc.  It is slow (O(m) and
    more per batch) and obviously faithful; the service must produce
    the same schedules, receipts and snapshot bytes. *)
@@ -120,9 +121,8 @@ let apply_ops ~refine ~graph ~sched ~alive ops ~n_events =
     (fun v ->
       Arc.iter_incident g' v (fun a -> if not (Schedule.is_colored sched' a) then recolor a))
     reset_nodes;
-  let clashes a c =
-    List.exists (fun b -> Schedule.get sched' b = c) (Conflict.conflicting ~scratch g' a)
-  in
+  (* the recolor-pass lemma of {!Service}: one first-fit pass over the
+     reset nodes' arcs leaves no clash in their neighborhood *)
   let tnodes = Array.make n' false in
   List.iter
     (fun v ->
@@ -133,7 +133,15 @@ let apply_ops ~refine ~graph ~sched ~alive ops ~n_events =
     if tnodes.(v) then
       Arc.iter_incident g' v (fun a ->
           let c = Schedule.get sched' a in
-          if c >= 0 && clashes a c then recolor a)
+          if c >= 0 then
+            List.iter
+              (fun b ->
+                if Schedule.get sched' b = c then
+                  failwith
+                    (Printf.sprintf
+                       "recolor-pass lemma violated: arc %d->%d and arc %d->%d share color %d"
+                       (Arc.tail g' a) (Arc.head g' a) (Arc.tail g' b) (Arc.head g' b) c))
+              (Conflict.conflicting ~scratch g' a))
   done;
   if refine then begin
     let ub = Bounds.upper g' in

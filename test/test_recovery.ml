@@ -552,6 +552,33 @@ let test_defer_preserves_order () =
     (order
     = [ leave_batch 1; [ Service.Leave 2; Service.Leave 3 ]; leave_batch 4 ])
 
+(* Regression: a cheaper later batch of a source must not be released
+   past that source's older deferred batch, which it cannot pay for
+   yet; [next_release] names the moment the older one pays. *)
+let test_release_keeps_source_order () =
+  let lim =
+    { small_limits with Admission.rate = 1.; burst = 2.; queue_cap = 100; defer_cap = 50 }
+  in
+  let adm = Admission.create ~limits:lim () in
+  let offer evs = ignore (Admission.offer adm ~source:0 ~now:1. evs) in
+  offer [ Service.Leave 1; Service.Leave 2 ];
+  offer [ Service.Leave 3; Service.Leave 4 ];
+  offer (leave_batch 5);
+  Alcotest.(check (option (float 0.))) "admitted batch releases now" (Some 1.)
+    (Admission.next_release adm);
+  ignore (Admission.poll adm ~now:1.);
+  Alcotest.(check bool) "one token pays for the older batch only" true
+    (Admission.poll adm ~now:2. = None);
+  Alcotest.(check (option (float 0.))) "older batch payable at 3" (Some 3.)
+    (Admission.next_release adm);
+  Alcotest.(check bool) "older batch first" true
+    (Admission.poll adm ~now:3. = Some [ Service.Leave 3; Service.Leave 4 ]);
+  Alcotest.(check (option (float 0.))) "then the later one at 4" (Some 4.)
+    (Admission.next_release adm);
+  Alcotest.(check bool) "later batch second" true
+    (Admission.poll adm ~now:4. = Some (leave_batch 5));
+  Alcotest.(check (option (float 0.))) "nothing left" None (Admission.next_release adm)
+
 let test_structural_rejections () =
   let adm = Admission.create ~limits:small_limits () in
   let expect name want evs =
@@ -682,6 +709,8 @@ let () =
         [
           Alcotest.test_case "deferral preserves order" `Quick
             test_defer_preserves_order;
+          Alcotest.test_case "release keeps each source's order" `Quick
+            test_release_keeps_source_order;
           Alcotest.test_case "structural rejections" `Quick
             test_structural_rejections;
           Alcotest.test_case "queue cap and per-source isolation" `Quick

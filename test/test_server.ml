@@ -224,6 +224,65 @@ let test_drain_empties_queue () =
   Alcotest.(check int) "every event applied" 40 s.Server.totals.Service.events;
   Alcotest.(check bool) "valid" true s.Server.valid
 
+(* ------------------------------------------------------------------ *)
+(* Conservation                                                        *)
+(* ------------------------------------------------------------------ *)
+
+(* Rates from far below the stream to unlimited, batch caps under and
+   over the batch size, oversized batches admission rejects and batches
+   naming an unknown node the service skips: every offered event is
+   applied, skipped, rejected or shed exactly once, and the drain
+   leaves nothing queued. *)
+let gen_shape =
+  QCheck2.Gen.(
+    let* rate = oneofl [ None; Some 1e-6; Some 0.01; Some 0.5; Some 3.; Some Float.infinity ] in
+    let* max_batch = oneof [ return None; map Option.some (int_range 1 8) ] in
+    let* events = int_bound 80 in
+    let* batch = int_range 1 8 in
+    let* junk = list_size (int_bound 4) (pair nat bool) in
+    return (rate, max_batch, events, batch, junk))
+
+let conservation (rate, max_batch, events, batch, junk) =
+  (* admission control on, so a batch the service rejects is skipped *)
+  let rate = if rate = None && max_batch = None then Some Float.infinity else rate in
+  let offered = ref 0 in
+  let stream svc =
+    let insert bs (k, oversized) =
+      let k = k mod (List.length bs + 1) in
+      let b =
+        if oversized then List.init 9 (fun i -> Service.Leave i) else [ Service.Leave 10_000 ]
+      in
+      List.filteri (fun i _ -> i < k) bs @ (b :: List.filteri (fun i _ -> i >= k) bs)
+    in
+    let bs = List.fold_left insert (synth ~batch events svc) junk in
+    offered := List.length (List.concat bs);
+    bs
+  in
+  let _, s, lines = serve { config with rate; max_batch; health_every = Some 1_000 } stream in
+  let c = Option.get s.Server.admission in
+  let fail fmt = QCheck2.Test.fail_reportf fmt in
+  if s.Server.offered <> !offered then fail "offered %d of %d" s.Server.offered !offered
+  else if
+    s.Server.offered
+    <> s.Server.applied + s.Server.skipped + s.Server.rejected + c.Admission.c_shed
+  then
+    fail "offered %d <> applied %d + skipped %d + rejected %d + shed %d" s.Server.offered
+      s.Server.applied s.Server.skipped s.Server.rejected c.Admission.c_shed
+  else if s.Server.applied <> s.Server.totals.Service.events then
+    fail "applied %d, service counted %d" s.Server.applied s.Server.totals.Service.events
+  else if c.Admission.c_released <> c.Admission.c_deferred then
+    fail "released %d of %d deferred" c.Admission.c_released c.Admission.c_deferred
+  else
+    match samples lines with
+    | [ h ] ->
+        let qd = int_field "queue_depth" h in
+        qd = 0 || fail "queue_depth %d after drain" qd
+    | l -> fail "expected one sample, got %d" (List.length l)
+
+let prop_conservation =
+  Generators.qtest "offered = applied + skipped + rejected + shed" ~count:100 gen_shape
+    conservation
+
 let () =
   Alcotest.run "fdlsp_server"
     [
@@ -240,5 +299,9 @@ let () =
           Alcotest.test_case "WAL default path and recovery" `Quick
             test_wal_dump_default_and_recover;
         ] );
-      ("admission", [ Alcotest.test_case "drain empties the queue" `Quick test_drain_empties_queue ]);
+      ( "admission",
+        [
+          Alcotest.test_case "drain empties the queue" `Quick test_drain_empties_queue;
+          prop_conservation;
+        ] );
     ]

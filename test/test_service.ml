@@ -8,7 +8,8 @@
    live state so shrinking stays meaningful) over four graph families,
    and diff every step against the from-scratch Greedy oracle.
 
-   Also here: the coalescer's unit contract, the provably-zero-touch
+   Also here: the coalescer's unit contract, the exact per-batch
+   recolor count with refine off, the provably-zero-touch
    empty-batch fast path (pinned through the metrics gauge), and the
    snapshot/restore round-trip — restore + replay-tail must be
    state-identical to the run that never snapshotted, and tampered
@@ -95,6 +96,60 @@ let prop_oracle_connected =
   Generators.qtest "service oracle: connected" ~count:100
     (with_scripts (Generators.arb_connected ~max_n:16 ()))
     oracle_holds
+
+(* ------------------------------------------------------------------ *)
+(* Repair cost                                                         *)
+(* ------------------------------------------------------------------ *)
+
+(* A batch costs what it recolors: with refine off, every arc that is
+   new or changed slot touches a node the coalesced batch joins or
+   moves, and the receipt counts each arc of those nodes' links exactly
+   once, nothing else — the recolor-pass lemma of [Service] seen from
+   the outside. *)
+let recolors_only_reset_arcs (g, scripts) =
+  let svc = Service.create ~refine:false (Greedy.color g) in
+  let slots () =
+    let h = Hashtbl.create 64 in
+    Graph.iter_edges (Service.graph svc) (fun _ u v ->
+        Hashtbl.replace h (u, v) (Service.slot_of_arc svc u v);
+        Hashtbl.replace h (v, u) (Service.slot_of_arc svc v u));
+    h
+  in
+  List.for_all
+    (fun hints ->
+      let evs = realize_batch svc hints in
+      let reset = Hashtbl.create 8 in
+      List.iter
+        (function
+          | Service.Op_join (v, _) | Service.Op_move (v, _) -> Hashtbl.replace reset v ()
+          | Service.Op_leave _ | Service.Op_degrade _ -> ())
+        (Service.coalesce svc evs);
+      let is_reset v = Hashtbl.mem reset v in
+      let before = slots () in
+      let b = Service.apply svc evs in
+      let after = slots () in
+      let reset_links = ref 0 and stray = ref [] in
+      Hashtbl.iter
+        (fun (u, v) s ->
+          if is_reset u || is_reset v then begin if u < v then incr reset_links end
+          else if Hashtbl.find_opt before (u, v) <> Some s then stray := (u, v) :: !stray)
+        after;
+      match !stray with
+      | (u, v) :: _ ->
+          QCheck2.Test.fail_reportf "arc %d->%d is new or changed slot but touches no reset node"
+            u v
+      | [] ->
+          (b.Service.b_recolored = 2 * !reset_links
+          && b.Service.b_touched = b.Service.b_recolored)
+          || QCheck2.Test.fail_reportf
+               "recolored %d arcs, touched %d, reset nodes have %d links" b.Service.b_recolored
+               b.Service.b_touched !reset_links)
+    scripts
+
+let prop_recolors_only_reset_arcs =
+  Generators.qtest "refine off: a batch recolors exactly its reset nodes' arcs" ~count:150
+    (with_scripts (Generators.arb_gnp ~max_n:14 ()))
+    recolors_only_reset_arcs
 
 (* ------------------------------------------------------------------ *)
 (* Snapshot / restore                                                  *)
@@ -369,6 +424,7 @@ let () =
       ( "oracle",
         [ prop_oracle_gnp; prop_oracle_udg; prop_oracle_tree;
           prop_oracle_connected ] );
+      ("repair cost", [ prop_recolors_only_reset_arcs ]);
       ( "snapshot",
         [
           prop_snapshot;
