@@ -3,11 +3,11 @@ open Fdlsp_graph
 let greedy g =
   let n = Graph.n g in
   let colors = Array.make n (-1) in
+  let scratch = Traversal.scratch g in
   for v = 0 to n - 1 do
     let forbidden = Hashtbl.create 8 in
-    List.iter
-      (fun w -> if colors.(w) >= 0 then Hashtbl.replace forbidden colors.(w) ())
-      (Traversal.within g v 2);
+    Traversal.iter_within ~scratch g v 2 (fun w ->
+        if colors.(w) >= 0 then Hashtbl.replace forbidden colors.(w) ());
     let rec first c = if Hashtbl.mem forbidden c then first (c + 1) else c in
     colors.(v) <- first 0
   done;
@@ -23,8 +23,9 @@ let is_valid g colors =
   && Array.for_all (fun c -> c >= 0) colors
   &&
   let ok = ref true in
+  let scratch = Traversal.scratch g in
   for v = 0 to Graph.n g - 1 do
-    List.iter (fun w -> if colors.(w) = colors.(v) then ok := false) (Traversal.within g v 2)
+    Traversal.iter_within ~scratch g v 2 (fun w -> if colors.(w) = colors.(v) then ok := false)
   done;
   !ok
 
@@ -33,26 +34,6 @@ let frame_length g = num_slots (greedy g)
 (* --- distributed variant ------------------------------------------- *)
 
 open Fdlsp_sim
-
-(* Virtual competition graph: members within [dist] hops compete. *)
-let virtual_graph g members ~dist =
-  let member_ids = ref [] in
-  Array.iteri (fun v m -> if m then member_ids := v :: !member_ids) members;
-  let back = Array.of_list (List.sort compare !member_ids) in
-  let index = Hashtbl.create (Array.length back) in
-  Array.iteri (fun i v -> Hashtbl.replace index v i) back;
-  let edges = ref [] in
-  Array.iteri
-    (fun i v ->
-      List.iter
-        (fun w ->
-          if members.(w) then
-            match Hashtbl.find_opt index w with
-            | Some j when i < j -> edges := (i, j) :: !edges
-            | _ -> ())
-        (Traversal.within g v dist))
-    back;
-  (Graph.create ~n:(Array.length back) !edges, back)
 
 (* Three synchronous rounds: broadcast own slot, forward the merged
    1-hop table, winners first-fit against the gathered 2-hop slots. *)
@@ -102,7 +83,7 @@ let distributed ~mis g =
     stats := Stats.add !stats mis_stats;
     let remaining = Array.copy s in
     while any remaining do
-      let vg, back = virtual_graph g remaining ~dist:2 in
+      let vg, back = Traversal.virtual_graph g remaining ~dist:2 in
       let s_virtual, sec_stats = Mis.compute ~algo:mis vg ~active:(Array.make (Graph.n vg) true) in
       stats := Stats.add !stats (Stats.scale_rounds 2 sec_stats);
       let chosen = Array.make n false in

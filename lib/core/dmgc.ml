@@ -143,7 +143,8 @@ let two_hop_waves g =
   let n = Graph.n g in
   if n = 0 then 0
   else begin
-    let hood = Array.init n (fun v -> Traversal.within g v 2) in
+    let scratch = Traversal.scratch g in
+    let hood = Array.init n (fun v -> Traversal.within ~scratch g v 2) in
     let finished = Array.make n false in
     let waves = ref 0 in
     let remaining = ref n in

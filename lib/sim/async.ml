@@ -2,48 +2,81 @@ open Fdlsp_graph
 
 type delay = Unit | Uniform of Random.State.t * float * float
 
-(* --- binary min-heap of events, keyed by (time, seq) for determinism --- *)
+(* --- binary min-heap of events, keyed by (time, seq) for determinism ---
+   Parallel arrays: times stay unboxed in a float array and the key
+   comparison is monomorphic, so a push or pop allocates nothing and
+   never calls the polymorphic compare.  The payload array is created by
+   the first push, from that payload. *)
 module Heap = struct
-  type 'a t = { mutable data : (float * int * 'a) array; mutable size : int }
+  type 'a t = {
+    mutable time : float array;
+    mutable seq : int array;
+    mutable data : 'a array;
+    mutable size : int;
+  }
 
-  let create () = { data = Array.make 16 (0., 0, Obj.magic 0); size = 0 }
+  let create () = { time = [||]; seq = [||]; data = [||]; size = 0 }
   let is_empty h = h.size = 0
-  let lt (t1, s1, _) (t2, s2, _) = t1 < t2 || (t1 = t2 && s1 < s2)
+
+  let lt h i j =
+    let ti : float = h.time.(i) and tj = h.time.(j) in
+    ti < tj || (ti = tj && h.seq.(i) < h.seq.(j))
+
+  let swap h i j =
+    let t = h.time.(i) and s = h.seq.(i) and d = h.data.(i) in
+    h.time.(i) <- h.time.(j);
+    h.seq.(i) <- h.seq.(j);
+    h.data.(i) <- h.data.(j);
+    h.time.(j) <- t;
+    h.seq.(j) <- s;
+    h.data.(j) <- d
+
+  let grow h payload =
+    let cap = max 16 (2 * h.size) in
+    let time = Array.make cap 0. and seq = Array.make cap 0 and data = Array.make cap payload in
+    Array.blit h.time 0 time 0 h.size;
+    Array.blit h.seq 0 seq 0 h.size;
+    Array.blit h.data 0 data 0 h.size;
+    h.time <- time;
+    h.seq <- seq;
+    h.data <- data
 
   let push h time seq payload =
-    if h.size = Array.length h.data then begin
-      let bigger = Array.make (2 * h.size) h.data.(0) in
-      Array.blit h.data 0 bigger 0 h.size;
-      h.data <- bigger
-    end;
-    h.data.(h.size) <- (time, seq, payload);
+    if h.size = Array.length h.data then grow h payload;
     let i = ref h.size in
+    h.time.(!i) <- time;
+    h.seq.(!i) <- seq;
+    h.data.(!i) <- payload;
     h.size <- h.size + 1;
-    while !i > 0 && lt h.data.(!i) h.data.((!i - 1) / 2) do
+    while !i > 0 && lt h !i ((!i - 1) / 2) do
       let p = (!i - 1) / 2 in
-      let tmp = h.data.(!i) in
-      h.data.(!i) <- h.data.(p);
-      h.data.(p) <- tmp;
+      swap h !i p;
       i := p
     done
+
+  (* time of the next event to pop *)
+  let min_time h =
+    if h.size = 0 then invalid_arg "Heap.min_time: empty";
+    h.time.(0)
 
   let pop h =
     if h.size = 0 then invalid_arg "Heap.pop: empty";
     let top = h.data.(0) in
     h.size <- h.size - 1;
-    h.data.(0) <- h.data.(h.size);
+    let last = h.size in
+    h.time.(0) <- h.time.(last);
+    h.seq.(0) <- h.seq.(last);
+    h.data.(0) <- h.data.(last);
     let i = ref 0 in
     let continue = ref true in
     while !continue do
       let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
       let smallest = ref !i in
-      if l < h.size && lt h.data.(l) h.data.(!smallest) then smallest := l;
-      if r < h.size && lt h.data.(r) h.data.(!smallest) then smallest := r;
+      if l < h.size && lt h l !smallest then smallest := l;
+      if r < h.size && lt h r !smallest then smallest := r;
       if !smallest = !i then continue := false
       else begin
-        let tmp = h.data.(!i) in
-        h.data.(!i) <- h.data.(!smallest);
-        h.data.(!smallest) <- tmp;
+        swap h !i !smallest;
         i := !smallest
       end
     done;
@@ -372,7 +405,8 @@ let run ?(delay = Unit) ?(max_events = 1_000_000) ?(weight = fun _ -> 1) ?faults
   while not (Heap.is_empty engine.heap) do
     incr events;
     if !events > max_events then raise (Too_many_events max_events);
-    let time, _, ev = Heap.pop engine.heap in
+    let time = Heap.min_time engine.heap in
+    let ev = Heap.pop engine.heap in
     engine.clock <- time;
     if mtr then
       Metrics.observe metrics Metrics.Name.queue_depth

@@ -11,10 +11,11 @@ let run ?max_rounds ?(weight = fun _ -> 1) ?(metrics = Metrics.null) ?(spans = S
   let k = prt.Partition.parts in
   let owner = prt.Partition.part in
   let shard_nodes = Partition.shards prt in
-  (* two passes, exactly like Sync.run, so a stateful [init] sees the same
-     call sequence on either engine *)
-  let states = Array.init n (fun v -> fst (init v)) in
-  let live = Array.init n (fun v -> snd (init v)) in
+  (* one [init] call per node in id order, exactly like Sync.run, so a
+     stateful [init] sees the same call sequence on either engine *)
+  let initial = Array.init n init in
+  let states = Array.map fst initial in
+  let live = Array.map snd initial in
   let live_count = Array.make k 0 in
   Array.iteri
     (fun v alive -> if alive then live_count.(owner.(v)) <- live_count.(owner.(v)) + 1)
@@ -70,7 +71,7 @@ let run ?max_rounds ?(weight = fun _ -> 1) ?(metrics = Metrics.null) ?(spans = S
     for i = 0 to Array.length nodes - 1 do
       let v = nodes.(i) in
       if live.(v) then begin
-        let inbox = List.sort compare inb.(v) in
+        let inbox = Sync.sort_inbox inb.(v) in
         (* clear own slot now, so the rotation is a pure pointer swap *)
         inb.(v) <- [];
         if mtr then

@@ -176,7 +176,7 @@ let run_sync ?max_rounds ?(weight = fun _ -> 1) ?(faults = Fault.none) ?(config 
     in
     if r > 1 then Graph.iter_neighbors g v (fun w -> Hashtbl.remove nd.got (w, r - 1));
     (* deliver in sender order, exactly like the raw engine *)
-    let inbox = List.sort compare inbox in
+    let inbox = Sync.sort_inbox inbox in
     let state, outcome = step ~round:r v nd.ustate inbox in
     nd.ustate <- state;
     let outgoing, halting =

@@ -7,6 +7,15 @@ type ('state, 'msg) step =
 
 exception Did_not_terminate of int
 
+(* The order of [List.sort compare] on the pairs, spelled out so the
+   sender ids compare as ints and the payloads are compared only
+   between messages from one sender. *)
+let by_sender (s1, p1) (s2, p2) =
+  let c = Int.compare s1 s2 in
+  if c <> 0 then c else compare p1 p2
+
+let sort_inbox inbox = List.sort by_sender inbox
+
 let run ?max_rounds ?(weight = fun _ -> 1) ?faults ?corrupt ?blip ?(trace = Trace.null)
     ?(metrics = Metrics.null) ?(spans = Span.null) g ~init ~step =
   let metrics = Metrics.with_label metrics "engine" "sync" in
@@ -49,8 +58,9 @@ let run ?max_rounds ?(weight = fun _ -> 1) ?faults ?corrupt ?blip ?(trace = Trac
     in
     loop ()
   in
-  let states = Array.init n (fun v -> fst (init v)) in
-  let live = Array.init n (fun v -> snd (init v)) in
+  let initial = Array.init n init in
+  let states = Array.map fst initial in
+  let live = Array.map snd initial in
   (* state blips from the plan, applied in (time, node) order once the
      round clock crosses them; the hook rewrites the victim's state *)
   let pending_blips =
@@ -135,7 +145,7 @@ let run ?max_rounds ?(weight = fun _ -> 1) ?faults ?corrupt ?blip ?(trace = Trac
               !inboxes.(v)
         | _ ->
             (* deliver in sender order for determinism *)
-            let inbox = List.sort compare !inboxes.(v) in
+            let inbox = sort_inbox !inboxes.(v) in
             if mtr then
               Metrics.observe metrics Metrics.Name.inbox_depth
                 (float_of_int (List.length inbox));

@@ -20,6 +20,12 @@ type ('state, 'msg) step = round:int -> int -> 'state -> (int * 'msg) list -> 's
 exception Did_not_terminate of int
 (** Raised with [max_rounds] when the protocol fails to halt. *)
 
+val sort_inbox : (int * 'msg) list -> (int * 'msg) list
+(** The delivery order of an inbox: ascending sender id, then payload
+    under [compare] for messages from the same sender — the order of
+    [List.sort compare], without a polymorphic compare on the senders.
+    Every synchronous engine delivers in this order. *)
+
 val run :
   ?max_rounds:int ->
   ?weight:('msg -> int) ->

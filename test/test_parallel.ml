@@ -237,6 +237,26 @@ let prop_distmis_engine_free =
       && r0.Dist_mis.inner_iters = r1.Dist_mis.inner_iters
       && Schedule.valid r0.Dist_mis.schedule)
 
+(* The property above stays below 16 nodes, where a scratch shared by
+   the domains (a global forbidden-color array, say) almost never gets
+   two color steps at once.  One fixed UDG above the parallel engine's
+   2048-node threshold, with degree 8 like the bench's, steps thousands
+   of winners per color phase on both domains. *)
+let test_distmis_engine_free_large () =
+  let n = 3000 in
+  let side = sqrt (float_of_int n *. Float.pi /. 8.) in
+  let g, _ = Gen.udg (Random.State.make [| 27 |]) ~n ~side ~radius:1. in
+  let run engine = Dist_mis.run ?engine ~mis:(Mis.Hashed 7) ~variant:Dist_mis.Gbg g in
+  let r0 = run None in
+  let r1 = run (Some (Parallel.runner ~domains:2 ())) in
+  Alcotest.(check bool) "valid" true (Schedule.valid r0.Dist_mis.schedule);
+  Alcotest.(check (array int))
+    "schedule" (schedule_array g r0.Dist_mis.schedule)
+    (schedule_array g r1.Dist_mis.schedule);
+  Alcotest.(check bool) "stats" true (r0.Dist_mis.stats = r1.Dist_mis.stats);
+  Alcotest.(check int) "outer iterations" r0.Dist_mis.outer_iters r1.Dist_mis.outer_iters;
+  Alcotest.(check int) "inner iterations" r0.Dist_mis.inner_iters r1.Dist_mis.inner_iters
+
 let prop_hashed_mis_valid =
   qtest "Hashed MIS is a deterministic maximal independent set" ~count:30
     (Generators.arb_gnp ~min_n:1 ~max_n:25 ())
@@ -271,5 +291,11 @@ let () =
           Alcotest.test_case "metrics merge" `Quick test_metrics_merge;
           Alcotest.test_case "spans" `Quick test_spans;
         ] );
-      ("distmis", [ prop_distmis_engine_free; prop_hashed_mis_valid ]);
+      ( "distmis",
+        [
+          prop_distmis_engine_free;
+          Alcotest.test_case "engine-independent on a 3000-node UDG" `Quick
+            test_distmis_engine_free_large;
+          prop_hashed_mis_valid;
+        ] );
     ]

@@ -34,44 +34,57 @@ let realize_batch = Generators.realize_batch
    graph. *)
 let oracle_holds (g, scripts) =
   let svc = Service.create (Greedy.color g) in
+  (* each sub-check names itself on failure *)
+  let check ok fmt = Printf.ksprintf (fun msg -> ok || QCheck2.Test.fail_report msg) fmt in
   List.for_all
     (fun hints ->
       let evs = realize_batch svc hints in
       let n_before = Service.nodes svc in
       let b = Service.apply svc evs in
       let g' = Service.graph svc in
-      (* ids are stable: the id space never shrinks, dead ghosts keep
-         their ids and hold no links *)
-      let ghosts_isolated =
-        List.for_all
-          (fun v -> Service.alive svc v || Graph.degree g' v = 0)
-          (List.init (Service.nodes svc) Fun.id)
-      in
       let ub = Bounds.upper g' in
       let sched = Service.schedule svc in
-      let queries_agree =
-        let ok = ref true in
-        Array.iteri
-          (fun e (u, v) ->
-            ignore e;
-            (match Service.slot_of_arc svc u v with
-            | Some s -> if s <> Schedule.get sched (Arc.make g' u v) then ok := false
-            | None -> ok := false);
-            match Service.slot_of_arc svc v u with
-            | Some s -> if s <> Schedule.get sched (Arc.make g' v u) then ok := false
-            | None -> ok := false)
-          (Graph.edges g');
-        !ok
+      (* ids are stable: the id space never shrinks, dead ghosts keep
+         their ids and hold no links *)
+      let linked_ghost =
+        List.find_opt
+          (fun v -> not (Service.alive svc v || Graph.degree g' v = 0))
+          (List.init (Service.nodes svc) Fun.id)
+      in
+      let query_mismatch =
+        let bad = ref None in
+        let probe u v =
+          match Service.slot_of_arc svc u v with
+          | Some s when s = Schedule.get sched (Arc.make g' u v) -> ()
+          | answer -> if !bad = None then bad := Some (u, v, answer)
+        in
+        Graph.iter_edges g' (fun _ u v ->
+            probe u v;
+            probe v u);
+        !bad
       in
       let oracle = Greedy.color g' in
-      Schedule.valid sched
-      && Service.nodes svc >= n_before
-      && ghosts_isolated
-      && b.Service.b_slots = Schedule.num_slots sched
-      && Service.num_slots svc <= ub
-      && queries_agree
-      && Schedule.valid oracle
-      && Schedule.num_slots oracle <= ub)
+      check (Schedule.valid sched) "service schedule invalid"
+      && check (Service.nodes svc >= n_before) "id space shrank: %d -> %d nodes" n_before
+           (Service.nodes svc)
+      && (match linked_ghost with
+         | None -> true
+         | Some v -> check false "dead node %d still has %d links" v (Graph.degree g' v))
+      && check
+           (b.Service.b_slots = Schedule.num_slots sched)
+           "receipt b_slots %d, schedule has %d slots" b.Service.b_slots
+           (Schedule.num_slots sched)
+      && check (Service.num_slots svc <= ub) "service uses %d slots, upper bound %d"
+           (Service.num_slots svc) ub
+      && (match query_mismatch with
+         | None -> true
+         | Some (u, v, answer) ->
+             check false "slot_of_arc %d->%d answers %s, schedule holds %d" u v
+               (match answer with Some s -> string_of_int s | None -> "None")
+               (Schedule.get sched (Arc.make g' u v)))
+      && check (Schedule.valid oracle) "greedy oracle schedule invalid"
+      && check (Schedule.num_slots oracle <= ub) "greedy oracle uses %d slots, upper bound %d"
+           (Schedule.num_slots oracle) ub)
     scripts
 
 let with_scripts arb =
