@@ -15,7 +15,7 @@ type node = {
   mutable pending_replies : int;
   mutable pending_acks : int;
   mutable queue : int list; (* coordinator: targets still to visit *)
-  known : (Arc.id, int) Hashtbl.t;
+  known : int Arc.Tbl.t;
   mutable changes : (Arc.id * int) list;
   mutable is_coordinator : bool;
 }
@@ -39,35 +39,27 @@ let halo_table g sched v =
    distance-2 knowledge. *)
 let patch_own ~scratch g st v =
   let fresh = ref [] in
-  let color_of b = Hashtbl.find_opt st.known b in
-  let first_fit a =
-    let forbidden = Hashtbl.create 16 in
-    Conflict.iter_conflicting ~scratch g a (fun b ->
-        match color_of b with
-        | Some c -> Hashtbl.replace forbidden c ()
-        | None -> ());
-    let rec first c = if Hashtbl.mem forbidden c then first (c + 1) else c in
-    first 0
-  in
+  let color_of b = match Arc.Tbl.find_opt st.known b with Some c -> c | None -> -1 in
+  let first_fit a = Conflict.first_fit ~scratch g a color_of in
   Arc.iter_incident g v (fun a ->
-      if not (Hashtbl.mem st.known a) then begin
+      if not (Arc.Tbl.mem st.known a) then begin
         let c = first_fit a in
-        Hashtbl.replace st.known a c;
+        Arc.Tbl.replace st.known a c;
         fresh := (a, c) :: !fresh
       end);
   Arc.iter_incident g v (fun a ->
-      match color_of a with
-      | Some ca ->
-          let clash = ref false in
-          Conflict.iter_conflicting ~scratch g a (fun b ->
-              if (not !clash) && color_of b = Some ca then clash := true);
-          if !clash then begin
-            Hashtbl.remove st.known a;
-            let c = first_fit a in
-            Hashtbl.replace st.known a c;
-            fresh := (a, c) :: !fresh
-          end
-      | None -> ());
+      let ca = color_of a in
+      if ca >= 0 then begin
+        let clash = ref false in
+        Conflict.iter_conflicting ~scratch g a (fun b ->
+            if (not !clash) && color_of b = ca then clash := true);
+        if !clash then begin
+          Arc.Tbl.remove st.known a;
+          let c = first_fit a in
+          Arc.Tbl.replace st.known a c;
+          fresh := (a, c) :: !fresh
+        end
+      end);
   st.changes <- !fresh @ st.changes;
   List.rev !fresh
 
@@ -85,16 +77,16 @@ let refresh g sched ~coordinator ~targets =
       pending_replies = 0;
       pending_acks = 0;
       queue = [];
-      known = Hashtbl.create 32;
+      known = Arc.Tbl.create 32;
       changes = [];
       is_coordinator = false;
     }
   in
   let start_visit ctx st =
     let v = Async.self ctx in
-    Hashtbl.reset st.known;
+    Arc.Tbl.reset st.known;
     Array.iter
-      (fun (a, c) -> Hashtbl.replace st.known a c)
+      (fun (a, c) -> Arc.Tbl.replace st.known a c)
       (halo_table g sched v);
     (* fold in changes this run already made locally (coordinator after
        its targets ran is not revisited, so only fresh tables matter) *)
@@ -127,7 +119,7 @@ let refresh g sched ~coordinator ~targets =
     | Return -> pass_or_finish ctx st
     | Query -> Async.send ctx sender (Reply (halo_table g sched (Async.self ctx)))
     | Reply table ->
-        Array.iter (fun (a, c) -> Hashtbl.replace st.known a c) table;
+        Array.iter (fun (a, c) -> Arc.Tbl.replace st.known a c) table;
         st.pending_replies <- st.pending_replies - 1;
         if st.pending_replies = 0 then begin
           let fresh = patch_own ~scratch g st (Async.self ctx) in
@@ -136,7 +128,7 @@ let refresh g sched ~coordinator ~targets =
           finish_visit ctx st fresh
         end
     | Announce table ->
-        Array.iter (fun (a, c) -> Hashtbl.replace st.known a c) table;
+        Array.iter (fun (a, c) -> Arc.Tbl.replace st.known a c) table;
         Array.iter
           (fun w -> if w <> sender then Async.send ctx w (Forwarded table))
           (Async.neighbors ctx);

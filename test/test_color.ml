@@ -140,6 +140,20 @@ let prop_scratch_reuse =
           if Conflict.conflicting ~scratch g a <> Conflict.conflicting g a then ok := false);
       !ok)
 
+(* First-fit against a partial coloring that also holds colors far past
+   any first-fit answer, through one reused scratch: the least color
+   none of the arc's conflicting arcs holds. *)
+let prop_first_fit_is_least_free =
+  qtest "first_fit = least color free among conflicting arcs" (arb_gnp ()) (fun g ->
+      let color_of b = if b mod 4 = 0 then -1 else if b mod 5 = 0 then 1000 + b else b mod 7 in
+      let scratch = Conflict.scratch g in
+      let ok = ref true in
+      Arc.iter g (fun a ->
+          let taken = List.map color_of (Conflict.conflicting g a) in
+          let rec least c = if List.mem c taken then least (c + 1) else c in
+          if Conflict.first_fit ~scratch g a color_of <> least 0 then ok := false);
+      !ok)
+
 let test_scratch_wrong_graph () =
   let g = Gen.path 3 and h = Gen.path 4 in
   let scratch = Conflict.scratch h in
@@ -562,6 +576,7 @@ let () =
           prop_conflict_graph_tree;
           prop_conflict_graph_connected;
           prop_scratch_reuse;
+          prop_first_fit_is_least_free;
         ] );
       ( "schedule",
         [
