@@ -1,20 +1,7 @@
 open Fdlsp_graph
 
-let first_free ?scratch sched a =
-  let g = Schedule.graph sched in
-  let used = ref [] in
-  Conflict.iter_conflicting ?scratch g a (fun b ->
-      let c = Schedule.get sched b in
-      if c >= 0 then used := c :: !used);
-  let used = List.sort_uniq compare !used in
-  let rec scan c = function
-    | u :: rest when u = c -> scan (c + 1) rest
-    | u :: rest when u < c -> scan c rest
-    | _ -> c
-  in
-  scan 0 used
-
-let color_arc ?scratch sched a = Schedule.set sched a (first_free ?scratch sched a)
+let first_free ~scratch sched a = Conflict.first_fit ~scratch (Schedule.graph sched) a (Schedule.get sched)
+let color_arc ~scratch sched a = Schedule.set sched a (first_free ~scratch sched a)
 
 let extend ?scratch sched arcs =
   let scratch =

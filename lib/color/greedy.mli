@@ -4,12 +4,12 @@
 
 open Fdlsp_graph
 
-val first_free : ?scratch:Conflict.scratch -> Schedule.t -> Arc.id -> int
+val first_free : scratch:Conflict.scratch -> Schedule.t -> Arc.id -> int
 (** Smallest color not used by any colored arc conflicting with the
-    argument.  [?scratch] (built over the schedule's graph) amortizes
-    the conflict enumeration across calls. *)
+    argument: {!Conflict.first_fit} against the schedule, with a
+    scratch built over the schedule's graph. *)
 
-val color_arc : ?scratch:Conflict.scratch -> Schedule.t -> Arc.id -> unit
+val color_arc : scratch:Conflict.scratch -> Schedule.t -> Arc.id -> unit
 (** First-fit one arc (overwrites any previous color of that arc). *)
 
 val extend : ?scratch:Conflict.scratch -> Schedule.t -> Arc.id list -> unit
