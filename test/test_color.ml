@@ -468,6 +468,32 @@ let prop_vizing_udg =
       let col, _ = Vizing.color g in
       Vizing.is_proper g col && Array.fold_left max (-1) col + 1 <= Graph.max_degree g + 1)
 
+(* Misra-Gries output pinned on 50 seeded graphs (25 UDGs of average
+   degree 4-12, 25 G(n,p)): every color and every statistic feeds
+   D-MGC's schedule and cost model, so a change to the fan or cd-path
+   code must not move any of them.  The digest was taken from the
+   Hashtbl/list implementation this one replaced. *)
+let vizing_pin_digest = "076faa716beea5160b0777faf34ca0e6"
+
+let test_vizing_pinned () =
+  let buf = Buffer.create 4096 in
+  let add g =
+    let col, st = Vizing.color g in
+    Array.iter (fun c -> Buffer.add_string buf (string_of_int c ^ ",")) col;
+    Buffer.add_string buf
+      (Printf.sprintf "|%d %d %d %d\n" st.Vizing.fans st.Vizing.inversions
+         st.Vizing.total_path_length st.Vizing.longest_path)
+  in
+  for i = 0 to 24 do
+    let st = Random.State.make [| 0x51; i |] in
+    let n = 20 + (6 * i) in
+    let degree = 4. +. float_of_int (i mod 9) in
+    let side = sqrt (float_of_int n *. Float.pi /. degree) in
+    add (fst (Gen.udg st ~n ~side ~radius:1.));
+    add (Gen.gnp st ~n:(10 + (2 * i)) ~p:(0.1 +. (0.03 *. float_of_int i)))
+  done;
+  Alcotest.(check string) "digest" vizing_pin_digest (Digest.to_hex (Digest.string (Buffer.contents buf)))
+
 let test_vizing_stats () =
   let g = Gen.complete 6 in
   let _, stats = Vizing.color g in
@@ -620,6 +646,7 @@ let () =
         [
           Alcotest.test_case "named shapes" `Quick test_vizing_shapes;
           Alcotest.test_case "stats" `Quick test_vizing_stats;
+          Alcotest.test_case "pinned on 50 seeded graphs" `Quick test_vizing_pinned;
           prop_vizing;
           prop_vizing_udg;
         ] );

@@ -366,6 +366,36 @@ let prop_dmgc_valid_udg =
   qtest "D-MGC valid on UDG" ~count:40 (arb_udg ()) (fun g ->
       Schedule.valid (Dmgc.run g).Dmgc.schedule)
 
+(* D-MGC against the reference implementation of its phase 2
+   (test/dmgc_ref.ml): the whole result, and every color class's
+   orientation.  Dense UDGs (average degree 4-12) make most interaction
+   components unorientable, so the deferral order is exercised, not
+   just the first search. *)
+let arb_dense_udg =
+  Generators.make (fun st ->
+      let n = 20 + Random.State.int st 50 in
+      let degree = 4. +. Random.State.float st 8. in
+      let side = sqrt (float_of_int n *. Float.pi /. degree) in
+      fst (Gen.udg st ~n ~side ~radius:1.))
+
+let dmgc_matches_ref g =
+  let r = Dmgc.run g and r' = Dmgc_ref.run g in
+  Schedule.equal r.Dmgc.schedule r'.Dmgc.schedule
+  && r.Dmgc.stats = r'.Dmgc.stats
+  && r.Dmgc.base_colors = r'.Dmgc.base_colors
+  && r.Dmgc.injected_edges = r'.Dmgc.injected_edges
+  &&
+  let col, _ = Vizing.color g in
+  let classes = Array.make (1 + Array.fold_left max (-1) col) [] in
+  Array.iteri (fun e c -> classes.(c) <- e :: classes.(c)) col;
+  Array.for_all (fun edges -> Dmgc.orient_class g edges = Dmgc_ref.orient_class g edges) classes
+
+let prop_dmgc_ref_udg =
+  qtest "D-MGC = reference on dense UDGs" ~count:30 arb_dense_udg dmgc_matches_ref
+
+let prop_dmgc_ref_gnp =
+  qtest "D-MGC = reference on G(n,p)" ~count:60 (arb_gnp ~max_n:30 ()) dmgc_matches_ref
+
 let prop_orient_class_sound =
   (* orientations returned for any Vizing color class are pairwise
      conflict-free *)
@@ -521,5 +551,7 @@ let () =
           prop_dmgc_valid;
           prop_dmgc_valid_udg;
           prop_orient_class_sound;
+          prop_dmgc_ref_udg;
+          prop_dmgc_ref_gnp;
         ] );
     ]
