@@ -13,158 +13,270 @@ type result = {
   injected_edges : int;
 }
 
-(* Two same-colored matching edges, oriented: conflict iff the head of
-   one is adjacent to the tail of the other (no shared endpoints in a
-   matching). *)
-let oriented_conflict g e1 d1 e2 d2 =
-  let ends e d =
-    let u, v = Graph.edge_endpoints g e in
-    if d = 0 then (u, v) else (v, u)
-  in
-  let t1, h1 = ends e1 d1 and t2, h2 = ends e2 d2 in
-  Graph.mem_edge g h1 t2 || Graph.mem_edge g h2 t1
+(* One color class's interaction graph, built from [owner.(v)] — the
+   class index of the class edge incident on [v], or -1 (a class is a
+   matching, so there is at most one).  Edges [i] and [j] interact when
+   an endpoint of one is adjacent to an endpoint of the other; the
+   neighbors of class edge [i] are [nb.(off.(i) .. off.(i+1) - 1)],
+   each once, with the orientations the pair forbids in [mk].
 
-(* Edges interact when some orientation combination conflicts, i.e. some
-   adjacency exists between their endpoint pairs. *)
-let interact g e1 e2 =
-  let a, b = Graph.edge_endpoints g e1 and c, d = Graph.edge_endpoints g e2 in
-  Graph.mem_edge g a c || Graph.mem_edge g a d || Graph.mem_edge g b c
-  || Graph.mem_edge g b d
+   Orient [i = (a, b)] and [j = (c, d)] (canonical, [a < b], [c < d]) as
+   [dir] 0 = canonical.  The oriented arcs conflict iff the head of one
+   is adjacent to the tail of the other.  An adjacency [a~c] or [b~d]
+   makes opposite directions conflict, [a~d] or [b~c] equal ones, so a
+   pair's four (dir, dir) cases collapse to two bits: [same_bad] and
+   [opp_bad]. *)
+let same_bad = 1
+let opp_bad = 2
+let forbids mask d d' = mask land (if d = d' then same_bad else opp_bad) <> 0
 
-(* Backtracking orientation of one interaction component.  Components
-   are small in practice (matching edges whose endpoints are adjacent);
-   a decision cap keeps pathological classes bounded — on overflow we
-   report failure and the caller defers an edge. *)
-let try_orient g edges nbrs =
+type interaction = { edges : int array; off : int array; nb : int array; mk : int array }
+
+let interaction ~owner g edges =
   let k = Array.length edges in
-  let dir = Array.make k (-1) in
+  Array.iteri
+    (fun i e ->
+      let a, b = Graph.edge_endpoints g e in
+      owner.(a) <- i;
+      owner.(b) <- i)
+    edges;
+  (* a pair is met at most once per adjacency between the two edges *)
+  let cap =
+    Array.fold_left
+      (fun acc e ->
+        let a, b = Graph.edge_endpoints g e in
+        acc + Graph.degree g a + Graph.degree g b)
+      0 edges
+  in
+  let off = Array.make (k + 1) 0 and nb = Array.make cap 0 and mk = Array.make cap 0 in
+  let len = ref 0 and acc = Array.make k 0 in
+  for i = 0 to k - 1 do
+    let a, b = Graph.edge_endpoints g edges.(i) in
+    let start = !len in
+    let scan x =
+      Graph.iter_neighbors g x (fun w ->
+          let j = owner.(w) in
+          if j >= 0 && j <> i then begin
+            if acc.(j) = 0 then begin
+              nb.(!len) <- j;
+              incr len
+            end;
+            let c = fst (Graph.edge_endpoints g edges.(j)) in
+            acc.(j) <- acc.(j) lor (if (x = a) = (w = c) then opp_bad else same_bad)
+          end)
+    in
+    scan a;
+    scan b;
+    for p = start to !len - 1 do
+      mk.(p) <- acc.(nb.(p));
+      acc.(nb.(p)) <- 0
+    done;
+    off.(i + 1) <- !len
+  done;
+  Array.iter
+    (fun e ->
+      let a, b = Graph.edge_endpoints g e in
+      owner.(a) <- -1;
+      owner.(b) <- -1)
+    edges;
+  { edges; off; nb; mk }
+
+(* Backtracking orientation of the class edges [vars.(0 .. nv - 1)],
+   in that order, [dir] 0 before 1: the first orientation found is the
+   lexicographically least.  A decision cap keeps pathological
+   components bounded — on overflow we report failure and the caller
+   defers an edge.  [dir] is all -1 on entry and on return. *)
+let try_orient ix dir vars nv =
+  let ok i d =
+    let rec scan p =
+      p >= ix.off.(i + 1)
+      ||
+      let d' = dir.(ix.nb.(p)) in
+      (d' < 0 || not (forbids ix.mk.(p) d d')) && scan (p + 1)
+    in
+    scan ix.off.(i)
+  in
   let budget = ref 200_000 in
-  let rec assign i =
-    if i = k then true
+  (* [enter l] charges one decision for level [l]; [attempt l d] tries
+     [dir] [d] and up there; [backtrack l] resumes level [l - 1] after
+     both directions of level [l] failed.  Running out of budget fails
+     the whole search: every level still open would charge again. *)
+  let rec enter l =
+    if l = nv then true
     else begin
       decr budget;
-      if !budget <= 0 then false
-      else
-        let ok d =
-          List.for_all
-            (fun j -> dir.(j) < 0 || not (oriented_conflict g edges.(i) d edges.(j) dir.(j)))
-            nbrs.(i)
-        in
-        let attempt d =
-          if ok d then begin
-            dir.(i) <- d;
-            if assign (i + 1) then true
-            else begin
-              dir.(i) <- -1;
-              false
-            end
-          end
-          else false
-        in
-        attempt 0 || attempt 1
+      !budget > 0 && attempt l 0
     end
+  and attempt l d =
+    if d > 1 then backtrack l
+    else if ok vars.(l) d then begin
+      dir.(vars.(l)) <- d;
+      enter (l + 1)
+    end
+    else attempt l (d + 1)
+  and backtrack l =
+    l > 0
+    &&
+    let i = vars.(l - 1) in
+    let d = dir.(i) in
+    dir.(i) <- -1;
+    attempt (l - 1) (d + 1)
   in
-  if assign 0 then Some (Array.copy dir) else None
+  let found = enter 0 in
+  let out = if found then Some (Array.init nv (fun l -> dir.(vars.(l)))) else None in
+  for l = 0 to nv - 1 do
+    dir.(vars.(l)) <- -1
+  done;
+  out
 
-let orient_class g class_edges =
-  let edges = Array.of_list class_edges in
-  let k = Array.length edges in
-  (* interaction graph *)
-  let nbrs = Array.make k [] in
-  for i = 0 to k - 1 do
-    for j = i + 1 to k - 1 do
-      if interact g edges.(i) edges.(j) then begin
-        nbrs.(i) <- j :: nbrs.(i);
-        nbrs.(j) <- i :: nbrs.(j)
-      end
-    done
-  done;
-  (* connected components of the interaction graph *)
-  let comp = Array.make k (-1) in
-  let ncomp = ref 0 in
-  for i = 0 to k - 1 do
-    if comp.(i) < 0 then begin
-      let q = Queue.create () in
-      comp.(i) <- !ncomp;
-      Queue.add i q;
-      while not (Queue.is_empty q) do
-        let x = Queue.pop q in
-        List.iter
-          (fun y ->
-            if comp.(y) < 0 then begin
-              comp.(y) <- !ncomp;
-              Queue.add y q
-            end)
-          nbrs.(x)
-      done;
-      incr ncomp
-    end
-  done;
+(* [up]/[par]/[size]: a union-find over class indices in which
+   [par.(i)] is the parity of [i]'s direction relative to [up.(i)]. *)
+type parity_uf = { up : int array; par : int array; size : int array }
+
+let rec find uf i =
+  let p = uf.up.(i) in
+  if p = i then i
+  else begin
+    let r = find uf p in
+    uf.par.(i) <- uf.par.(i) lxor uf.par.(p);
+    uf.up.(i) <- r;
+    r
+  end
+
+(* Record that [i] and [j] must differ ([rel] = 1) or agree ([rel] = 0)
+   in direction; false if that contradicts what is recorded. *)
+let relate uf i j rel =
+  let ri = find uf i and rj = find uf j in
+  let rel = rel lxor uf.par.(i) lxor uf.par.(j) in
+  if ri = rj then rel = 0
+  else begin
+    let ri, rj = if uf.size.(ri) < uf.size.(rj) then (ri, rj) else (rj, ri) in
+    uf.up.(ri) <- rj;
+    uf.par.(ri) <- rel;
+    uf.size.(rj) <- uf.size.(rj) + uf.size.(ri);
+    true
+  end
+
+(* How one color class is oriented, and why this gives the output of
+   the plain retry loop ("orient the component; if that fails, defer its
+   most-constrained edge and retry the rest") in near-linear time.
+
+   Three facts about that loop:
+   - Its deferral order is fixed up front: descending degree in the
+     class's whole interaction graph, ties to the lower class index
+     ([order] below), because the degrees never change as edges go.
+   - A pair's constraint is "directions agree", "directions differ", or
+     both (see [same_bad]), so orienting a set of edges is a 2-SAT
+     instance that is satisfiable iff these parity constraints are
+     consistent.  If it is not, [try_orient] can only fail, whatever its
+     budget.
+   - Dropping edges keeps a consistent instance consistent.
+
+   So the suffixes [order.(t ..)] that can be oriented at all are
+   exactly those with [t >= t0] for one [t0].  One pass that adds
+   [order] back to front to a parity union-find finds [t0] (the first
+   contradiction), and the loop would have deferred [order.(0 .. t0-1)]
+   one failed search at a time.  From [t0] on, the budgeted search runs
+   exactly as before, and a failure — only the budget can cause one now
+   — still defers [order.(t)]. *)
+let orient ~owner g class_edges =
+  let ix = interaction ~owner g (Array.of_list class_edges) in
+  let k = Array.length ix.edges in
+  let degree i = ix.off.(i + 1) - ix.off.(i) in
+  let rank = Array.make k 0 and dir = Array.make k (-1) and vars = Array.make k 0 in
+  let uf = { up = Array.init k Fun.id; par = Array.make k 0; size = Array.make k 1 } in
   let assigned = ref [] and deferred = ref [] in
-  for c = 0 to !ncomp - 1 do
-    let members = ref [] in
-    for i = k - 1 downto 0 do
-      if comp.(i) = c then members := i :: !members
-    done;
-    let rec solve members =
-      match members with
-      | [] -> ()
-      | _ ->
-          let idx = Array.of_list members in
-          let local_edges = Array.map (fun i -> edges.(i)) idx in
-          let pos = Hashtbl.create 8 in
-          Array.iteri (fun p i -> Hashtbl.replace pos i p) idx;
-          let local_nbrs =
-            Array.map
-              (fun i -> List.filter_map (fun j -> Hashtbl.find_opt pos j) nbrs.(i))
-              idx
-          in
-          (match try_orient g local_edges local_nbrs with
-          | Some dir ->
-              Array.iteri (fun p e -> assigned := (e, dir.(p)) :: !assigned) local_edges
-          | None ->
-              (* defer the most-constrained edge and retry *)
-              let worst =
-                List.fold_left
-                  (fun best i ->
-                    if List.length nbrs.(i) > List.length nbrs.(best) then i else best)
-                  (List.hd members) members
-              in
-              deferred := edges.(worst) :: !deferred;
-              solve (List.filter (fun i -> i <> worst) members))
+  (* [members]: one interaction component, ascending *)
+  let orient_component members =
+    let order = Array.copy members in
+    let size = Array.length order in
+    Array.stable_sort (fun i j -> Int.compare (degree j) (degree i)) order;
+    Array.iteri (fun r i -> rank.(i) <- r) order;
+    (* [order.(t ..)] can be oriented iff adding [order.(t)] to the
+       already consistent [order.(t+1 ..)] contradicts nothing *)
+    let consistent_with_later i =
+      let rec scan p =
+        p >= ix.off.(i + 1)
+        ||
+        let j = ix.nb.(p) and mask = ix.mk.(p) in
+        (rank.(j) < rank.(i)
+        || (mask <> same_bad lor opp_bad && relate uf i j (if mask = same_bad then 1 else 0)))
+        && scan (p + 1)
+      in
+      scan ix.off.(i)
     in
-    solve !members
+    let t0 = ref size in
+    while !t0 > 0 && consistent_with_later order.(!t0 - 1) do
+      decr t0
+    done;
+    for t = 0 to !t0 - 1 do
+      deferred := ix.edges.(order.(t)) :: !deferred
+    done;
+    let rec solve t =
+      if t < size then begin
+        let nv = ref 0 in
+        Array.iter
+          (fun i ->
+            if rank.(i) >= t then begin
+              vars.(!nv) <- i;
+              incr nv
+            end)
+          members;
+        match try_orient ix dir vars !nv with
+        | Some d ->
+            for l = 0 to !nv - 1 do
+              assigned := (ix.edges.(vars.(l)), d.(l)) :: !assigned
+            done
+        | None ->
+            deferred := ix.edges.(order.(t)) :: !deferred;
+            solve (t + 1)
+      end
+    in
+    solve !t0
+  in
+  (* components in order of their least member, found by BFS *)
+  let seen = Array.make k false and queue = Array.make k 0 in
+  for i = 0 to k - 1 do
+    if not seen.(i) then begin
+      seen.(i) <- true;
+      queue.(0) <- i;
+      let head = ref 0 and tail = ref 1 in
+      while !head < !tail do
+        let x = queue.(!head) in
+        incr head;
+        for p = ix.off.(x) to ix.off.(x + 1) - 1 do
+          let y = ix.nb.(p) in
+          if not seen.(y) then begin
+            seen.(y) <- true;
+            queue.(!tail) <- y;
+            incr tail
+          end
+        done
+      done;
+      let members = Array.sub queue 0 !tail in
+      Array.sort Int.compare members;
+      orient_component members
+    end
   done;
   (List.rev !assigned, List.rev !deferred)
 
+let orient_class g class_edges = orient ~owner:(Array.make (Graph.n g) (-1)) g class_edges
+
 (* The "exclusive coloring" waves of phase 1: a node acts when every
-   unfinished node within 2 hops has a lower id. *)
+   unfinished node within 2 hops has a lower id, so it acts in the wave
+   after the last of its higher 2-hop neighbors.  That is a
+   longest-path layering, computed in descending id order. *)
 let two_hop_waves g =
   let n = Graph.n g in
-  if n = 0 then 0
-  else begin
-    let scratch = Traversal.scratch g in
-    let hood = Array.init n (fun v -> Traversal.within ~scratch g v 2) in
-    let finished = Array.make n false in
-    let waves = ref 0 in
-    let remaining = ref n in
-    while !remaining > 0 do
-      incr waves;
-      let this_wave = ref [] in
-      for v = 0 to n - 1 do
-        if not finished.(v) then begin
-          let blocked = List.exists (fun w -> (not finished.(w)) && w > v) hood.(v) in
-          if not blocked then this_wave := v :: !this_wave
-        end
-      done;
-      List.iter
-        (fun v ->
-          finished.(v) <- true;
-          decr remaining)
-        !this_wave
-    done;
-    !waves
-  end
+  let scratch = Traversal.scratch g in
+  let wave = Array.make n 0 and waves = ref 0 in
+  for v = n - 1 downto 0 do
+    let w = ref 0 in
+    Traversal.iter_within ~scratch g v 2 (fun u -> if u > v && wave.(u) > !w then w := wave.(u));
+    wave.(v) <- !w + 1;
+    if !w + 1 > !waves then waves := !w + 1
+  done;
+  !waves
 
 let run ?(trace = Trace.null) ?(metrics = Metrics.null) ?(spans = Span.null) g =
   Span.span spans "dmgc" @@ fun () ->
@@ -191,10 +303,12 @@ let run ?(trace = Trace.null) ?(metrics = Metrics.null) ?(spans = Span.null) g =
     let injected = ref 0 in
     let orientation_rounds = ref 0 in
     let scratch = Conflict.scratch g in
+    let owner = Array.make (Graph.n g) (-1) in
+    let lo = 2 * base_colors in
     Span.span spans "dmgc.orient" (fun () ->
     Array.iteri
       (fun c class_edges ->
-        let assigned, deferred = orient_class g class_edges in
+        let assigned, deferred = orient ~owner g class_edges in
         orientation_rounds := !orientation_rounds + List.length class_edges;
         List.iter
           (fun (e, d) ->
@@ -208,12 +322,8 @@ let run ?(trace = Trace.null) ?(metrics = Metrics.null) ?(spans = Span.null) g =
             List.iter
               (fun d ->
                 let a = Arc.of_edge ~edge:e ~dir:d in
-                let forbidden = Hashtbl.create 16 in
-                Conflict.iter_conflicting ~scratch g a (fun b ->
-                    let cb = Schedule.get sched b in
-                    if cb >= 0 then Hashtbl.replace forbidden cb ());
-                let rec first c = if Hashtbl.mem forbidden c then first (c + 1) else c in
-                Schedule.set sched a (first (2 * base_colors)))
+                Schedule.set sched a
+                  (lo + Conflict.first_fit ~scratch g a (fun b -> Schedule.get sched b - lo)))
               [ 0; 1 ])
           deferred)
       classes);

@@ -396,6 +396,28 @@ let prop_dmgc_ref_udg =
 let prop_dmgc_ref_gnp =
   qtest "D-MGC = reference on G(n,p)" ~count:60 (arb_gnp ~max_n:30 ()) dmgc_matches_ref
 
+(* A satisfiable class that the budgeted search still rejects: a center
+   edge (0,1), listed last, interacting with 20 leaf edges that interact
+   with nothing else.  Leaf 0 needs the center's direction to differ
+   from its own, the other leaves need it to agree, so once every leaf
+   has taken direction 0 the center fails, and chronological
+   backtracking would need 2^19 decisions to flip leaves 1-19.  The
+   search gives up at its budget of 200,000, and the center, of highest
+   degree, is deferred; orienting it would have been possible. *)
+let test_orient_budget_rejects_satisfiable () =
+  let leaves = 20 in
+  let leaf j = (2 + (2 * j), 3 + (2 * j)) in
+  let links = List.init leaves (fun j -> if j = 0 then (1, fst (leaf j)) else (0, fst (leaf j))) in
+  let g = Graph.create ~n:(2 + (2 * leaves)) (((0, 1) :: List.init leaves leaf) @ links) in
+  let edge (u, v) = Option.get (Graph.edge_index g u v) in
+  let center = edge (0, 1) in
+  let cls = List.init leaves (fun j -> edge (leaf j)) @ [ center ] in
+  let assigned, deferred = Dmgc.orient_class g cls in
+  Alcotest.(check (list int)) "center deferred" [ center ] deferred;
+  Alcotest.(check int) "every leaf oriented" leaves (List.length assigned);
+  Alcotest.(check bool) "same as the reference" true
+    (Dmgc_ref.orient_class g cls = (assigned, deferred))
+
 let prop_orient_class_sound =
   (* orientations returned for any Vizing color class are pairwise
      conflict-free *)
@@ -551,6 +573,8 @@ let () =
           prop_dmgc_valid;
           prop_dmgc_valid_udg;
           prop_orient_class_sound;
+          Alcotest.test_case "budget rejects a satisfiable class" `Quick
+            test_orient_budget_rejects_satisfiable;
           prop_dmgc_ref_udg;
           prop_dmgc_ref_gnp;
         ] );
