@@ -59,4 +59,14 @@ val orient_class :
     class (a matching, given as edge indices): returns [(edge, dir)]
     assignments ([dir] 0 = canonical) such that the oriented arcs are
     pairwise non-conflicting, together with the deferred edges that had
-    to be dropped to make the rest satisfiable.  Exposed for tests. *)
+    to be dropped to make the rest satisfiable.  Exposed for tests.
+
+    The rule is the plain retry loop: search each interaction component
+    for an orientation (backtracking, class order, direction 0 first,
+    at most 200,000 decisions); when the search fails, defer the edge
+    of highest interaction degree (lower index on ties) and search the
+    rest again.  The result is exactly that loop's, but a prefix of
+    deferrals that no search could avoid — the rest of the component
+    has no orientation at all — is found in one near-linear pass
+    instead of one failed search each.  [deferred] lists edges in
+    deferral order, component by component. *)
